@@ -91,6 +91,18 @@ class MasConfig:
             raise ValueError("threshold_clamp must satisfy 0 <= min < max <= 1")
 
 
+@dataclass(frozen=True)
+class MaxIouConfig:
+    """Fixed IoU thresholds of :func:`assign_maxiou`."""
+
+    pos_thr: float = 0.5
+    neg_thr: float = 0.4
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.neg_thr <= self.pos_thr <= 1.0:
+            raise ValueError("need 0 <= neg_thr <= pos_thr <= 1")
+
+
 @dataclass(frozen=True, eq=False)
 class AnchorLevel:
     stride: float
@@ -298,7 +310,7 @@ def _ious_against_anchors(grid: AnchorGrid, indices: np.ndarray, gt_box: Oriente
     for i, anchor_poly in enumerate(_anchor_corner_lists(grid, indices)):
         inter = _intersection_area(gt_poly, anchor_poly)
         if inter > 0.0:
-            out[i] = inter / (gt_area + areas[i] - inter)
+            out[i] = min(1.0, inter / (gt_area + areas[i] - inter))
     return out
 
 
@@ -315,16 +327,13 @@ def _overlapping_anchor_indices(grid: AnchorGrid, gt_box: OrientedBox) -> np.nda
     return np.nonzero(mask)[0]
 
 
-def _resolve_claims(num_anchors: int, claims: dict[int, list[tuple[float, int]]]) -> np.ndarray:
-    """Per-anchor winner-take-all: highest IoU, ties to the lowest gt index."""
-    gt_index = np.full(num_anchors, NEGATIVE, dtype=int)
-    for anchor, claimants in claims.items():
-        best_iou, best_gt = claimants[0]
-        for iou, g in claimants[1:]:
-            if iou > best_iou or (iou == best_iou and g < best_gt):
-                best_iou, best_gt = iou, g
-        gt_index[anchor] = best_gt
-    return gt_index
+def _resolve_claims(gt_index: np.ndarray, anchors: np.ndarray, ious: np.ndarray, gts: np.ndarray) -> None:
+    """Per-anchor winner-take-all over claims (anchors[i], ious[i], gts[i]),
+    written into ``gt_index``: highest IoU, ties to the lowest gt index."""
+    order = np.lexsort((gts, -ious, anchors))
+    anchors, gts = anchors[order], gts[order]
+    first = np.diff(anchors, prepend=-1) != 0  # first claim on each anchor
+    gt_index[anchors[first]] = gts[first]
 
 
 def _apply_fallback(
@@ -366,7 +375,7 @@ def _assign_adaptive(grid: AnchorGrid, gts, cfg: MasConfig) -> AssignmentResult:
     thresholds = np.zeros(num_gts)
     candidates: list[np.ndarray] = []
     candidate_ious: list[np.ndarray] = []
-    claims: dict[int, list[tuple[float, int]]] = {}
+    claims: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []  # (anchors, ious, gts) per gt
 
     for g, gt in enumerate(gts):
         cand = select_candidates(grid, gt, cfg.candidate_k)
@@ -378,10 +387,11 @@ def _assign_adaptive(grid: AnchorGrid, gts, cfg: MasConfig) -> AssignmentResult:
         eligible = ious >= thr
         if cfg.use_center_prior:
             eligible &= contains_points(gt.box, grid.centers[cand])
-        for anchor, iou in zip(cand[eligible], ious[eligible]):
-            claims.setdefault(int(anchor), []).append((float(iou), g))
+        claims.append((cand[eligible], ious[eligible], np.full(np.count_nonzero(eligible), g)))
 
-    gt_index = _resolve_claims(grid.num_anchors, claims)
+    gt_index = np.full(grid.num_anchors, NEGATIVE, dtype=int)
+    if claims:
+        _resolve_claims(gt_index, *(np.concatenate(column) for column in zip(*claims)))
     _apply_fallback(gt_index, candidates, candidate_ious)
     counts = np.bincount(gt_index[gt_index >= 0], minlength=num_gts) if num_gts else np.zeros(0, dtype=int)
     return AssignmentResult(gt_index=gt_index, thresholds=thresholds, positive_counts=counts)
@@ -400,9 +410,9 @@ def assign_mas(grid: AnchorGrid, gts, cfg: MasConfig | None = None) -> Assignmen
 def assign_atss(
     grid: AnchorGrid,
     gts,
-    k: int = 9,
-    use_center_prior: bool = True,
-    threshold_clamp: tuple[float, float] = (0.05, 0.95),
+    k: int = MasConfig.candidate_k,
+    use_center_prior: bool = MasConfig.use_center_prior,
+    threshold_clamp: tuple[float, float] = MasConfig.threshold_clamp,
 ) -> AssignmentResult:
     """Adaptive-threshold baseline: identical pipeline with the shape weight
     pinned to 1."""
@@ -418,8 +428,8 @@ def assign_atss(
 def assign_maxiou(
     grid: AnchorGrid,
     gts,
-    pos_thr: float = 0.5,
-    neg_thr: float = 0.4,
+    pos_thr: float = MaxIouConfig.pos_thr,
+    neg_thr: float = MaxIouConfig.neg_thr,
 ) -> AssignmentResult:
     """Fixed-threshold baseline.
 
@@ -429,13 +439,13 @@ def assign_maxiou(
     anchors go to the gt of higher IoU, ties to the lower gt index. Argmax
     ties also break toward the lower gt index, making the labels invariant
     under gt permutation (up to exact-tie degeneracy)."""
-    if not 0.0 <= neg_thr <= pos_thr <= 1.0:
-        raise ValueError("need 0 <= neg_thr <= pos_thr <= 1")
+    MaxIouConfig(pos_thr, neg_thr)  # validates the thresholds
     num_anchors = grid.num_anchors
     num_gts = len(gts)
     max_iou = np.zeros(num_anchors)
     argmax_gt = np.full(num_anchors, NEGATIVE, dtype=int)
-    best_per_gt: list[tuple[float, int]] = []
+    best_iou = np.zeros(num_gts)
+    best_anchor = np.full(num_gts, -1)
 
     for g, gt in enumerate(gts):
         indices = _overlapping_anchor_indices(grid, gt.box)
@@ -445,25 +455,15 @@ def assign_maxiou(
         argmax_gt[indices[better]] = g
         if ious.size and ious.max() > 0.0:
             pos = int(np.argmax(ious))  # first occurrence: lowest anchor index
-            best_per_gt.append((float(ious[pos]), int(indices[pos])))
-        else:
-            best_per_gt.append((0.0, -1))
+            best_iou[g], best_anchor[g] = ious[pos], indices[pos]
 
     gt_index = np.full(num_anchors, NEGATIVE, dtype=int)
     gt_index[max_iou >= neg_thr] = IGNORE
     positive = max_iou >= pos_thr
     gt_index[positive] = argmax_gt[positive]
 
-    forced_claims: dict[int, list[tuple[float, int]]] = {}
-    for g, (iou, anchor) in enumerate(best_per_gt):
-        if anchor >= 0:
-            forced_claims.setdefault(anchor, []).append((iou, g))
-    for anchor, claimants in forced_claims.items():
-        best_iou, best_gt = claimants[0]
-        for iou, g in claimants[1:]:
-            if iou > best_iou or (iou == best_iou and g < best_gt):
-                best_iou, best_gt = iou, g
-        gt_index[anchor] = best_gt
+    forced = np.nonzero(best_anchor >= 0)[0]
+    _resolve_claims(gt_index, best_anchor[forced], best_iou[forced], forced)
 
     counts = np.bincount(gt_index[gt_index >= 0], minlength=num_gts) if num_gts else np.zeros(0, dtype=int)
     thresholds = np.full(num_gts, pos_thr)

@@ -19,7 +19,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -29,8 +29,8 @@ from .assignment import (
     CONSTANT_ONE,
     AnchorGrid,
     AssignmentResult,
-    GroundTruth,
     MasConfig,
+    MaxIouConfig,
     assign_atss,
     assign_maxiou,
     assign_mas,
@@ -41,6 +41,8 @@ from .assignment import (
 from .geometry import QUARTER_PI, HALF_PI, normalize_obb, mc_iou_oracle, rotated_iou
 from .losses import (
     BetaState,
+    MultiTaskLossConfig,
+    SmoothL1Config,
     focal_loss,
     focal_loss_grad,
     smooth_l1,
@@ -49,12 +51,11 @@ from .losses import (
 )
 from .sampling import FeatureGrid, dcn_offset_field, deformable_sample, bilinear_sample, sampling_pattern
 from .scenes import (
-    DotaParseError,
     SceneSpec,
+    from_dict,
     generate_scene,
     parse_dota_file,
     records_to_gts,
-    scene_spec_from_dict,
 )
 
 SCHEMA_VERSION = "1"
@@ -75,34 +76,100 @@ class ConfigError(ValueError):
     """Invalid configuration file or flag combination."""
 
 
-class SelfCheckError(RuntimeError):
-    """A built-in verification failed."""
+@dataclass(frozen=True)
+class AtssConfig:
+    """Candidates per pyramid level of the ``atss`` strategy."""
+
+    k: int = MasConfig.candidate_k
+
+    def __post_init__(self) -> None:
+        if self.k < 1:
+            raise ValueError("k must be >= 1")
+
+
+@dataclass(frozen=True)
+class AnchorsConfig:
+    """Anchor pyramid: ascending strides and the anchor side per stride."""
+
+    strides: tuple[float, ...] = (8.0, 16.0, 32.0, 64.0, 128.0)
+    scale_multiplier: float = 4.0
+
+    def __post_init__(self) -> None:
+        # A one-pixel grid is cheap and applies the grid's own checks.
+        generate_anchors(1, self.strides, self.scale_multiplier)
+
+
+@dataclass(frozen=True)
+class StatsConfig:
+    """Number of synthetic scenes that ``stats`` assigns."""
+
+    scenes: int = 5
+
+    def __post_init__(self) -> None:
+        if self.scenes < 1:
+            raise ValueError("scenes must be >= 1")
+
+
+@dataclass(frozen=True)
+class ThresholdsConfig:
+    """The (aspect, angle) grid and inputs of the ``thresholds`` surfaces.
+    ``gammas`` of None follows ``mas.gamma``."""
+
+    aspect_count: int = 100
+    aspect_range: tuple[float, float] = SceneSpec.aspect_range
+    angle_count: int = 64
+    candidate_ious: tuple[float, ...] = (0.3, 0.5, 0.7)
+    gammas: tuple[float, ...] | None = None
+
+    def __post_init__(self) -> None:
+        if self.aspect_count < 2 or self.angle_count < 2:
+            raise ValueError("threshold grids need at least 2 points per axis")
+        if self.aspect_range[0] < 1.0:
+            raise ValueError("aspect_range minimum must be >= 1")
+        iou_statistics(self.candidate_ious)  # rejects an empty list and values outside [0, 1]
+        if self.gammas is not None and not all(g > 0.0 for g in self.gammas):
+            raise ValueError("gammas must be positive")
+
+
+@dataclass(frozen=True)
+class LossCheckConfig:
+    """Settings of the ``loss-check`` gradient checks and beta trajectory."""
+
+    iterations: int = 200
+    tau: float = 30.0
+    points: int = 1000
+    beta: float = SmoothL1Config.beta
+    focal_alpha: float = MultiTaskLossConfig.focal_alpha
+    focal_gamma: float = MultiTaskLossConfig.focal_gamma
+
+    def __post_init__(self) -> None:
+        if self.iterations < 1 or self.points < 1 or self.tau <= 0 or self.beta <= 0:
+            raise ValueError("iterations, points, tau and beta must be positive")
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated settings for one CLI invocation."""
+    """Validated settings for one CLI invocation, one field per section of
+    the JSON configuration. The ``keys`` metadata of ``mas`` and ``beta``
+    leaves out the fields of those dataclasses that are not configuration."""
 
-    mas: MasConfig
-    maxiou_pos: float
-    maxiou_neg: float
-    atss_k: int
-    scene: SceneSpec
-    strides: tuple[float, ...]
-    scale_multiplier: float
-    stats_scenes: int
-    thr_aspect_count: int
-    thr_aspect_range: tuple[float, float]
-    thr_angle_count: int
-    thr_candidate_ious: tuple[float, ...]
-    thr_gammas: tuple[float, ...]
-    beta_state: BetaState
-    loss_iterations: int
-    loss_tau: float
-    loss_points: int
-    loss_beta: float
-    focal_alpha: float
-    focal_gamma: float
+    mas: MasConfig = field(
+        default=MasConfig(),
+        metadata={"keys": ("gamma", "lambda_mode", "candidate_k", "threshold_clamp", "use_center_prior", "raw_lambda")},
+    )
+    maxiou: MaxIouConfig = MaxIouConfig()
+    atss: AtssConfig = AtssConfig()
+    scene: SceneSpec = SceneSpec()
+    anchors: AnchorsConfig = AnchorsConfig()
+    stats: StatsConfig = StatsConfig()
+    thresholds: ThresholdsConfig = ThresholdsConfig()
+    beta: BetaState = field(default=BetaState(), metadata={"keys": ("beta_scale", "momentum", "clamp")})
+    loss_check: LossCheckConfig = LossCheckConfig()
+
+    @property
+    def gammas(self) -> tuple[float, ...]:
+        """The gammas of the threshold surfaces."""
+        return (self.mas.gamma,) if self.thresholds.gammas is None else self.thresholds.gammas
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,19 +209,6 @@ _STATS_HEADER = (
 )
 
 
-def _strict(section: dict, allowed: set[str], context: str) -> None:
-    extra = set(section) - allowed
-    if extra:
-        raise ConfigError(f"unknown {context} keys: {sorted(extra)}")
-
-
-def _pair(value, context: str) -> tuple[float, float]:
-    pair = tuple(float(v) for v in value)
-    if len(pair) != 2:
-        raise ConfigError(f"{context} must be a [low, high] pair")
-    return pair
-
-
 def load_run_config(path: str | None) -> RunConfig:
     """Parse the JSON configuration (all sections optional) and reject
     anything it does not understand."""
@@ -167,99 +221,12 @@ def load_run_config(path: str | None) -> RunConfig:
             raise ConfigError(f"cannot read config: {exc}") from None
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from None
-    if not isinstance(data, dict):
-        raise ConfigError("config root must be a JSON object")
-    _strict(
-        data,
-        {"schema_version", "mas", "maxiou", "atss", "scene", "anchors", "stats", "thresholds", "beta", "loss_check"},
-        "config",
-    )
     try:
-        mas_raw = dict(data.get("mas", {}))
-        _strict(mas_raw, {"gamma", "lambda_mode", "candidate_k", "threshold_clamp", "use_center_prior", "raw_lambda"}, "mas")
-        if "threshold_clamp" in mas_raw:
-            mas_raw["threshold_clamp"] = _pair(mas_raw["threshold_clamp"], "mas.threshold_clamp")
-        mas = replace(MasConfig(), **mas_raw)
-
-        maxiou = dict(data.get("maxiou", {}))
-        _strict(maxiou, {"pos_thr", "neg_thr"}, "maxiou")
-        pos_thr = float(maxiou.get("pos_thr", 0.5))
-        neg_thr = float(maxiou.get("neg_thr", 0.4))
-        if not 0.0 <= neg_thr <= pos_thr <= 1.0:
-            raise ConfigError("maxiou thresholds must satisfy 0 <= neg <= pos <= 1")
-
-        atss = dict(data.get("atss", {}))
-        _strict(atss, {"k"}, "atss")
-        atss_k = int(atss.get("k", 9))
-
-        scene = scene_spec_from_dict(data.get("scene", {}))
-
-        anchors = dict(data.get("anchors", {}))
-        _strict(anchors, {"strides", "scale_multiplier"}, "anchors")
-        strides = tuple(float(s) for s in anchors.get("strides", (8, 16, 32, 64, 128)))
-        multiplier = float(anchors.get("scale_multiplier", 4.0))
-
-        stats = dict(data.get("stats", {}))
-        _strict(stats, {"scenes"}, "stats")
-        stats_scenes = int(stats.get("scenes", 5))
-        if stats_scenes < 1:
-            raise ConfigError("stats.scenes must be >= 1")
-
-        thr = dict(data.get("thresholds", {}))
-        _strict(thr, {"aspect_count", "aspect_range", "angle_count", "candidate_ious", "gammas"}, "thresholds")
-        thr_aspect_count = int(thr.get("aspect_count", 100))
-        thr_aspect_range = _pair(thr.get("aspect_range", (1.0, 12.0)), "thresholds.aspect_range")
-        thr_angle_count = int(thr.get("angle_count", 64))
-        thr_candidate_ious = tuple(float(v) for v in thr.get("candidate_ious", (0.3, 0.5, 0.7)))
-        thr_gammas = tuple(float(g) for g in thr.get("gammas", (mas.gamma,)))
-        if thr_aspect_count < 2 or thr_angle_count < 2:
-            raise ConfigError("threshold grids need at least 2 points per axis")
-        if thr_aspect_range[0] < 1.0:
-            raise ConfigError("thresholds.aspect_range minimum must be >= 1")
-
-        beta_raw = dict(data.get("beta", {}))
-        _strict(beta_raw, {"beta_scale", "momentum", "clamp"}, "beta")
-        if "clamp" in beta_raw:
-            beta_raw["clamp"] = _pair(beta_raw["clamp"], "beta.clamp")
-        beta_state = replace(BetaState(), **beta_raw)
-
-        loss = dict(data.get("loss_check", {}))
-        _strict(loss, {"iterations", "tau", "points", "beta", "focal_alpha", "focal_gamma"}, "loss_check")
-        loss_iterations = int(loss.get("iterations", 200))
-        loss_tau = float(loss.get("tau", 30.0))
-        loss_points = int(loss.get("points", 1000))
-        loss_beta = float(loss.get("beta", 1.0))
-        focal_alpha = float(loss.get("focal_alpha", 0.25))
-        focal_gamma = float(loss.get("focal_gamma", 2.0))
-        if loss_iterations < 1 or loss_points < 1 or loss_tau <= 0 or loss_beta <= 0:
-            raise ConfigError("loss_check values must be positive")
-    except ConfigError:
-        raise
-    except (ValueError, TypeError) as exc:
+        if isinstance(data, dict):
+            data.pop("schema_version", None)  # accepted, as in the files the CLI writes
+        return from_dict(RunConfig, data, "config")
+    except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(str(exc)) from None
-
-    return RunConfig(
-        mas=mas,
-        maxiou_pos=pos_thr,
-        maxiou_neg=neg_thr,
-        atss_k=atss_k,
-        scene=scene,
-        strides=strides,
-        scale_multiplier=multiplier,
-        stats_scenes=stats_scenes,
-        thr_aspect_count=thr_aspect_count,
-        thr_aspect_range=thr_aspect_range,
-        thr_angle_count=thr_angle_count,
-        thr_candidate_ious=thr_candidate_ious,
-        thr_gammas=thr_gammas,
-        beta_state=beta_state,
-        loss_iterations=loss_iterations,
-        loss_tau=loss_tau,
-        loss_points=loss_points,
-        loss_beta=loss_beta,
-        focal_alpha=focal_alpha,
-        focal_gamma=focal_gamma,
-    )
 
 
 def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
@@ -267,23 +234,18 @@ def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
         mas = cfg.mas
         if getattr(args, "gamma", None) is not None:
             mas = replace(mas, gamma=args.gamma)
-            cfg = replace(cfg, thr_gammas=(args.gamma,))
+            cfg = replace(cfg, thresholds=replace(cfg.thresholds, gammas=(args.gamma,)))
         if getattr(args, "raw_lambda", False):
             mas = replace(mas, raw_lambda=True)
         if getattr(args, "lambda_mode", None) is not None:
             mas = replace(mas, lambda_mode=args.lambda_mode)
         cfg = replace(cfg, mas=mas)
         if getattr(args, "scenes", None) is not None:
-            if args.scenes < 1:
-                raise ConfigError("--scenes must be >= 1")
-            cfg = replace(cfg, stats_scenes=args.scenes)
+            cfg = replace(cfg, stats=StatsConfig(scenes=args.scenes))
         if getattr(args, "image_size", None) is not None:
-            width, height = args.image_size
-            scene = replace(cfg.scene, image_size=(int(width), int(height)))
-            scene.validate()
-            cfg = replace(cfg, scene=scene)
-    except ConfigError:
-        raise
+            cfg = replace(cfg, scene=replace(cfg.scene, image_size=tuple(args.image_size)))
+        loss_flags = {k: getattr(args, k) for k in ("iterations", "tau") if getattr(args, k, None) is not None}
+        cfg = replace(cfg, loss_check=replace(cfg.loss_check, **loss_flags))
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     return cfg
@@ -323,12 +285,12 @@ def read_csv(path) -> tuple[str, list[str], list[list[str]]]:
 
 def _assign(strategy: str, grid: AnchorGrid, gts, cfg: RunConfig) -> AssignmentResult:
     if strategy == "maxiou":
-        return assign_maxiou(grid, gts, cfg.maxiou_pos, cfg.maxiou_neg)
+        return assign_maxiou(grid, gts, cfg.maxiou.pos_thr, cfg.maxiou.neg_thr)
     if strategy == "atss":
         return assign_atss(
             grid,
             gts,
-            k=cfg.atss_k,
+            k=cfg.atss.k,
             use_center_prior=cfg.mas.use_center_prior,
             threshold_clamp=cfg.mas.threshold_clamp,
         )
@@ -357,11 +319,11 @@ def _bin_stats(axis, values, positives, lo, hi, bins, strategy) -> BinnedStats:
 
 def run_assignment_stats(cfg: RunConfig, strategy: str, base_seed: int):
     """Generate scenes, assign, and bin positives by aspect and by angle."""
-    grid = generate_anchors(cfg.scene.image_size, cfg.strides, cfg.scale_multiplier)
+    grid = generate_anchors(cfg.scene.image_size, cfg.anchors.strides, cfg.anchors.scale_multiplier)
     aspects: list[float] = []
     angles: list[float] = []
     positives: list[int] = []
-    for index in range(cfg.stats_scenes):
+    for index in range(cfg.stats.scenes):
         scene = generate_scene(replace(cfg.scene, seed=base_seed + index))
         result = _assign(strategy, grid, scene.gts, cfg)
         for g, gt in enumerate(scene.gts):
@@ -402,7 +364,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
         {
             "strategy": args.strategy,
             "seed": args.seed,
-            "scenes": cfg.stats_scenes,
+            "scenes": cfg.stats.scenes,
             "totals": totals,
             "aspect": _stats_json_block(aspect_stats),
             "angle": _stats_json_block(angle_stats),
@@ -418,10 +380,10 @@ def _equilibrium_distance(angles: np.ndarray) -> np.ndarray:
 
 def threshold_surface(cfg: RunConfig, gamma: float):
     """The (aspect, angle) -> (shape weight, threshold) table for one gamma."""
-    aspects = np.linspace(*cfg.thr_aspect_range, cfg.thr_aspect_count)
-    angles = np.linspace(-QUARTER_PI, 3.0 * QUARTER_PI, cfg.thr_angle_count, endpoint=False)
-    _, _, init = iou_statistics(cfg.thr_candidate_ious)
-    weights = np.empty((cfg.thr_aspect_count, cfg.thr_angle_count))
+    aspects = np.linspace(*cfg.thresholds.aspect_range, cfg.thresholds.aspect_count)
+    angles = np.linspace(-QUARTER_PI, 3.0 * QUARTER_PI, cfg.thresholds.angle_count, endpoint=False)
+    _, _, init = iou_statistics(cfg.thresholds.candidate_ious)
+    weights = np.empty((len(aspects), len(angles)))
     for i, aspect in enumerate(aspects):
         for j, angle in enumerate(angles):
             weights[i, j] = shape_weight(
@@ -455,7 +417,7 @@ def cmd_thresholds(args: argparse.Namespace) -> int:
     cfg = _apply_overrides(load_run_config(args.config), args)
     out = _out_dir(args)
     all_problems = {}
-    for gamma in cfg.thr_gammas:
+    for gamma in cfg.gammas:
         aspects, angles, weights, pre, clamped = threshold_surface(cfg, gamma)
         rows = []
         for i in range(len(aspects)):
@@ -482,8 +444,8 @@ def cmd_thresholds(args: argparse.Namespace) -> int:
     _write_json(
         out / "thresholds.json",
         {
-            "gammas": [float(g) for g in cfg.thr_gammas],
-            "candidate_ious": list(cfg.thr_candidate_ious),
+            "gammas": [float(g) for g in cfg.gammas],
+            "candidate_ious": list(cfg.thresholds.candidate_ious),
             "lambda_mode": cfg.mas.lambda_mode,
             "raw_lambda": cfg.mas.raw_lambda,
             "monotonicity_violations": all_problems,
@@ -494,7 +456,7 @@ def cmd_thresholds(args: argparse.Namespace) -> int:
             for problem in problems:
                 print(f"self-check failed (gamma={gamma}): {problem}", file=sys.stderr)
         return EXIT_SELFCHECK
-    print(f"wrote {len(cfg.thr_gammas)} threshold surface(s) to {out}")
+    print(f"wrote {len(cfg.gammas)} threshold surface(s) to {out}")
     return EXIT_OK
 
 
@@ -570,17 +532,15 @@ def run_beta_trajectory(
 def cmd_loss_check(args: argparse.Namespace) -> int:
     cfg = _apply_overrides(load_run_config(args.config), args)
     out = _out_dir(args)
-    iterations = args.iterations if args.iterations is not None else cfg.loss_iterations
-    tau = args.tau if args.tau is not None else cfg.loss_tau
-
-    report = gradient_check(args.seed, cfg.loss_points, cfg.loss_beta, cfg.focal_alpha, cfg.focal_gamma)
+    loss = cfg.loss_check
+    report = gradient_check(args.seed, loss.points, loss.beta, loss.focal_alpha, loss.focal_gamma)
     tolerance = 1e-5
     offenders = [
         name
         for name in ("smooth_l1", "focal")
         if report[name]["max_relative_error"] > tolerance
     ]
-    rows, _ = run_beta_trajectory(cfg.beta_state, iterations, tau, args.schedule, args.constant_s)
+    rows, _ = run_beta_trajectory(cfg.beta, loss.iterations, loss.tau, args.schedule, args.constant_s)
     _write_csv(
         out / "beta_trajectory.csv",
         "obblab.beta.v1",
@@ -594,8 +554,8 @@ def cmd_loss_check(args: argparse.Namespace) -> int:
             "passed": not offenders,
             "offenders": offenders,
             "schedule": args.schedule,
-            "iterations": iterations,
-            "tau": tau,
+            "iterations": loss.iterations,
+            "tau": loss.tau,
             **report,
         },
     )
@@ -639,7 +599,7 @@ def cmd_assign_file(args: argparse.Namespace) -> int:
         return EXIT_DATA
     gts, skipped = records_to_gts(parse_result.records, include_difficult=args.include_difficult)
 
-    grid = generate_anchors(cfg.scene.image_size, cfg.strides, cfg.scale_multiplier)
+    grid = generate_anchors(cfg.scene.image_size, cfg.anchors.strides, cfg.anchors.scale_multiplier)
     comparison = {}
     selected: AssignmentResult | None = None
     for strategy in STRATEGIES:
@@ -835,12 +795,6 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except SelfCheckError as exc:
-        print(f"self-check failure: {exc}", file=sys.stderr)
-        return EXIT_SELFCHECK
-    except DotaParseError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
     except (OSError, ValueError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA

@@ -22,6 +22,10 @@ HALF_PI = math.pi / 2.0
 # Vertices closer than this (pixels) are merged after clipping.
 _MERGE_EPS = 1e-9
 
+# Samples per mask pass of the Monte-Carlo oracle: masks over whole batches
+# spend most of their time faulting in fresh pages for their temporaries.
+_ORACLE_BLOCK = 8192
+
 
 class DegenerateQuadError(ValueError):
     """Raised for quads with (near-)zero area or non-convex vertex sets."""
@@ -29,7 +33,9 @@ class DegenerateQuadError(ValueError):
 
 def normalize_angle(theta: float, period: float = math.pi) -> float:
     """Map an angle into [-pi/4, -pi/4 + period)."""
-    return (theta + QUARTER_PI) % period - QUARTER_PI
+    angle = (theta + QUARTER_PI) % period - QUARTER_PI
+    # An angle just below -pi/4 can round onto the excluded upper bound.
+    return angle if angle < period - QUARTER_PI else -QUARTER_PI
 
 
 @dataclass(frozen=True)
@@ -270,26 +276,22 @@ def contains_points(box: OrientedBox, points: np.ndarray, atol: float = 0.0) -> 
     """Boolean mask of points inside (or on) a box; ``atol`` pads the
     half-extents to absorb rotation round-off."""
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    c, s = math.cos(box.theta), math.sin(box.theta)
-    dx = pts[:, 0] - box.cx
-    dy = pts[:, 1] - box.cy
-    local_x = dx * c + dy * s
-    local_y = -dx * s + dy * c
-    return (np.abs(local_x) <= 0.5 * box.w + atol) & (np.abs(local_y) <= 0.5 * box.h + atol)
+    return _inside_mask(box, pts[:, 0], pts[:, 1], atol)
 
 
-def _inside_mask(box: OrientedBox, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _inside_mask(box: OrientedBox, x: np.ndarray, y: np.ndarray, atol: float = 0.0) -> np.ndarray:
+    # In-place arithmetic: the Monte-Carlo oracle calls this on every sample.
     c, s = math.cos(box.theta), math.sin(box.theta)
     dx = x - box.cx
     dy = y - box.cy
     lx = dx * c
     lx += dy * s
     np.abs(lx, out=lx)
-    mask = lx <= 0.5 * box.w
+    mask = lx <= 0.5 * box.w + atol
     dy *= c
     dy -= dx * s
     np.abs(dy, out=dy)
-    mask &= dy <= 0.5 * box.h
+    mask &= dy <= 0.5 * box.h + atol
     return mask
 
 
@@ -310,14 +312,12 @@ def mc_iou_oracle(a: OrientedBox, b: OrientedBox, samples: int, seed: int) -> fl
         n = min(remaining, 1_000_000)
         x = rng.uniform(lo[0], hi[0], n)
         y = rng.uniform(lo[1], hi[1], n)
-        in_a = _inside_mask(a, x, y)
-        in_b = _inside_mask(b, x, y)
-        hits_a = int(np.count_nonzero(in_a))
-        hits_b = int(np.count_nonzero(in_b))
-        in_a &= in_b
-        both = int(np.count_nonzero(in_a))
-        inter_hits += both
-        union_hits += hits_a + hits_b - both
+        for start in range(0, n, _ORACLE_BLOCK):
+            block = slice(start, start + _ORACLE_BLOCK)
+            in_a = _inside_mask(a, x[block], y[block])
+            in_b = _inside_mask(b, x[block], y[block])
+            inter_hits += int(np.count_nonzero(in_a & in_b))
+            union_hits += int(np.count_nonzero(in_a | in_b))
         remaining -= n
     if union_hits == 0:
         return 0.0

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, is_dataclass, replace
 from importlib import resources
 
 import numpy as np
@@ -20,7 +20,6 @@ from .geometry import (
     QUARTER_PI,
     ConvexQuad,
     DegenerateQuadError,
-    OrientedBox,
     _box_corners,
     normalize_obb,
     quad_to_obb,
@@ -54,7 +53,8 @@ class SceneSpec:
     log-uniform aspect, uniform angle and long edge, and a uniform center
     keeping the whole box inside the image. ``grid-sweep`` instead lays one
     object per (aspect-bin x angle-bin) cell at the bin centers, which gives
-    every statistics bin identical support.
+    every statistics bin identical support. A spec validates itself on
+    construction.
     """
 
     image_size: tuple[int, int] = (1024, 1024)
@@ -67,7 +67,7 @@ class SceneSpec:
     aspect_bins: int = 12
     angle_bins: int = 16
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         width, height = self.image_size
         if width <= 0 or height <= 0:
             raise ValueError("image_size must be positive")
@@ -113,7 +113,6 @@ def _bin_centers(lo: float, hi: float, bins: int) -> np.ndarray:
 
 def generate_scene(spec: SceneSpec) -> Scene:
     """Materialize a scene; identical specs produce identical scenes."""
-    spec.validate()
     rng = np.random.default_rng(spec.seed)
     gts: list[GroundTruth] = []
     if spec.placement == UNIFORM:
@@ -266,16 +265,55 @@ def save_scene(scene: Scene, annotation_path, spec_path=None) -> None:
             fh.write("\n")
 
 
+def from_dict(cls, data, context: str, keys=None):
+    """Build the self-validating frozen dataclass ``cls`` from a JSON object
+    holding only its fields (or only ``keys``). Lists become tuples, of the
+    default's length unless annotated ``tuple[T, ...]``, and numbers take
+    the type of the default; a field whose default is a dataclass is a
+    nested object, limited to its metadata's ``"keys"``."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{context} must be a JSON object")
+    known = {f.name: f for f in fields(cls)}
+    extra = set(data) - set(known if keys is None else keys)
+    if extra:
+        raise ValueError(f"unknown {context} keys: {sorted(extra)}")
+    defaults = cls()
+    values = {}
+    for name, value in data.items():
+        default = getattr(defaults, name)
+        if is_dataclass(default):
+            values[name] = from_dict(type(default), value, name, known[name].metadata.get("keys"))
+        else:
+            fixed = "..." not in str(known[name].type)  # tuple[float, float], not tuple[float, ...]
+            values[name] = _coerce(value, default, f"{context}.{name}", fixed)
+    try:
+        return replace(defaults, **values)
+    except (ValueError, TypeError) as exc:
+        raise ValueError(f"{context}: {exc}") from None
+
+
+_JSON_TYPES = {bool: "boolean", int: "integer", float: "number", str: "string", tuple: "list"}
+
+
+def _coerce(value, default, context: str, fixed: bool = False):
+    if isinstance(value, list):
+        value = tuple(value)
+    if default is None:
+        return value
+    kind = type(default)
+    if kind in (int, float) and type(value) in (int, float):
+        if kind is int and isinstance(value, float) and not value.is_integer():
+            raise ValueError(f"{context} must be an integer, got {value!r}")
+        return kind(value)
+    if type(value) is not kind:
+        raise ValueError(f"{context} must be a JSON {_JSON_TYPES.get(kind, kind.__name__)}, got {value!r}")
+    if kind is tuple and default:
+        if fixed and len(value) != len(default):
+            raise ValueError(f"{context} must hold {len(default)} values, got {len(value)}")
+        return tuple(_coerce(item, default[0], context) for item in value)
+    return value
+
+
 def scene_spec_from_dict(data: dict) -> SceneSpec:
     """Build a spec from a JSON-style dict, rejecting unknown keys."""
-    allowed = set(SceneSpec.__dataclass_fields__)
-    extra = set(data) - allowed
-    if extra:
-        raise ValueError(f"unknown scene keys: {sorted(extra)}")
-    kwargs = dict(data)
-    for name in ("image_size", "aspect_range", "angle_range", "scale_range"):
-        if name in kwargs:
-            kwargs[name] = tuple(kwargs[name])
-    spec = replace(SceneSpec(), **kwargs)
-    spec.validate()
-    return spec
+    return from_dict(SceneSpec, data, "scene")

@@ -274,6 +274,19 @@ class TestAssignMas:
             ious = [rotated_iou(pyramid_grid.box(int(i)), gt.box) for i in anchors]
             assert sum(1 for v in ious if v >= result.thresholds[g]) >= len(anchors) - 1
 
+    def test_equal_iou_claim_goes_to_lower_gt_index(self):
+        # mirror images about the anchor at (28, 28): both claim it with
+        # exactly equal IoU, and each keeps one uncontested anchor
+        grid = generate_anchors(64, [8], 4)
+        contested = int(np.nonzero((grid.centers == [28.0, 28.0]).all(axis=1))[0][0])
+        left = GroundTruth(normalize_obb(24.0, 28.0, 16.0, 8.0, 0.0))
+        right = GroundTruth(normalize_obb(32.0, 28.0, 16.0, 8.0, 0.0))
+        cfg = MasConfig(threshold_clamp=(0.05, 0.1))
+        for gts in ([left, right], [right, left]):
+            result = assign_mas(grid, gts, cfg)
+            assert result.gt_index[contested] == 0
+            assert result.positive_counts.tolist() == [2, 1]
+
     def test_lower_threshold_admits_superset_for_elongated_rotated(self, pyramid_grid):
         # elongated gts at the maximal-mismatch angle: the shape weight drops
         # the bar below the unmodulated one, so positives form a superset
@@ -317,6 +330,13 @@ class TestAssignMaxIou:
         result = assign_maxiou(pyramid_grid, [gt], 0.5, 0.4)
         assert result.positive_counts[0] == 1
 
+    def test_equal_iou_forced_anchor_goes_to_lower_gt_index(self):
+        # two gts on one box: both force the same best anchor at equal IoU
+        grid = generate_anchors(64, [8], 4)
+        box = normalize_obb(28.0, 28.0, 40.0, 8.0, 0.3)
+        result = assign_maxiou(grid, [GroundTruth(box, 1), GroundTruth(box, 2)], 0.5, 0.4)
+        assert result.positive_counts.tolist() == [1, 0]
+
     def test_thresholds_validated(self, pyramid_grid):
         with pytest.raises(ValueError):
             assign_maxiou(pyramid_grid, [], pos_thr=0.4, neg_thr=0.5)
@@ -351,6 +371,15 @@ class TestAssignAtss:
         gts = random_gts(rng, 10)
         result = assign_atss(pyramid_grid, gts, k=9)
         assert np.all((result.gt_index >= 0) | (result.gt_index == NEGATIVE))
+
+
+@pytest.mark.parametrize("assign", [assign_atss, assign_mas])
+def test_gt_coinciding_with_anchor_up_to_rounding(pyramid_grid, assign):
+    # rounding puts the IoU with the anchor at (284, 4) a hair above 1
+    gt = GroundTruth(normalize_obb(284, 4, 32, 32 * (1 - 1e-15), math.pi / 2))
+    result = assign(pyramid_grid, [gt])
+    assert result.positive_counts[0] >= 1
+    assert result.thresholds[0] <= 1.0
 
 
 class TestThresholdMonotonicity:

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,8 @@ from obblab.cli import (
     EXIT_DATA,
     EXIT_OK,
     EXIT_SELFCHECK,
+    RunConfig,
+    load_run_config,
     main,
     read_csv,
 )
@@ -69,10 +72,28 @@ class TestStatsCommand:
             assert run_cli(["stats", "--config", small_scene_config, "--out", out, "--seed", "9"]) == EXIT_OK
         assert read_tree(out1) == read_tree(out2)
 
-    def test_unknown_config_key_exits_2(self, tmp_path):
+    @pytest.mark.parametrize(
+        "payload, flags",
+        [
+            pytest.param({"scene": {"object_cnt": 5}}, [], id="unknown-scene-key"),
+            pytest.param({"mas": {"unit_weight": True}}, [], id="mas-unit-weight"),
+            pytest.param({"beta": {"history": 0.5}}, [], id="beta-history"),
+            pytest.param({"mas": [["gamma", 3]]}, [], id="section-not-an-object"),
+            pytest.param({"anchors": {"strides": [16, 8]}}, [], id="descending-strides"),
+            pytest.param({"anchors": {"scale_multiplier": -1}}, [], id="negative-scale-multiplier"),
+            pytest.param({"atss": {"k": 0}}, ["--strategy", "atss"], id="atss-k-zero"),
+            pytest.param({"mas": {"threshold_clamp": [0.1, 0.5, 0.9]}}, [], id="threshold-clamp-not-a-pair"),
+            pytest.param({"beta": {"clamp": 0.5}}, [], id="beta-clamp-not-a-pair"),
+            pytest.param({"thresholds": {"aspect_range": [1.0]}}, [], id="aspect-range-not-a-pair"),
+            pytest.param({"stats": {"scenes": 2.5}}, [], id="fractional-count"),
+            pytest.param({"mas": {"use_center_prior": "yes"}}, [], id="string-for-bool"),
+            pytest.param({"thresholds": {"gammas": [0]}}, [], id="zero-gamma"),
+        ],
+    )
+    def test_unknown_config_key_exits_2(self, tmp_path, payload, flags):
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({"scene": {"object_cnt": 5}}))
-        assert run_cli(["stats", "--config", bad, "--out", tmp_path / "o"]) == EXIT_CONFIG
+        bad.write_text(json.dumps(payload))
+        assert run_cli(["stats", "--config", bad, "--out", tmp_path / "o", *flags]) == EXIT_CONFIG
 
     def test_invalid_strategy_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
@@ -121,6 +142,50 @@ class TestThresholdsCommand:
             assert run_cli(["thresholds", "--gamma", "5", "--out", out, "--seed", "3"]) == EXIT_OK
         assert read_tree(out1) == read_tree(out2)
 
+    @pytest.mark.parametrize(
+        "payload, flags, gammas",
+        [
+            ({"mas": {"gamma": 3}}, [], [3.0]),
+            ({"mas": {"gamma": 3}, "thresholds": {"gammas": [4, 6]}}, [], [4.0, 6.0]),
+            ({"mas": {"gamma": 3}, "thresholds": {"gammas": [4, 6]}}, ["--gamma", "7"], [7.0]),
+        ],
+    )
+    def test_gammas_follow_mas_gamma_unless_set(self, tmp_path, payload, flags, gammas):
+        small_grid = {"aspect_count": 2, "angle_count": 2, **payload.get("thresholds", {})}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**payload, "thresholds": small_grid}))
+        out = tmp_path / "out"
+        assert run_cli(["thresholds", "--config", cfg, "--out", out, *flags]) == EXIT_OK
+        assert json.loads((out / "thresholds.json").read_text())["gammas"] == gammas
+
+
+def test_documented_config_keys_load_as_defaults(tmp_path):
+    # every key of the README configuration block, at its documented default
+    documented = {
+        "mas": {"gamma": 5.0, "lambda_mode": "angle-dependent", "candidate_k": 9,
+                "threshold_clamp": [0.05, 0.95], "use_center_prior": True, "raw_lambda": False},
+        "maxiou": {"pos_thr": 0.5, "neg_thr": 0.4},
+        "atss": {"k": 9},
+        "scene": {"image_size": [1024, 1024], "object_count": 20, "aspect_range": [1.0, 12.0],
+                  "angle_range": [-0.7853981633974483, 2.356194490192345], "scale_range": [24.0, 96.0],
+                  "seed": 0, "placement": "uniform", "aspect_bins": 12, "angle_bins": 16},
+        "anchors": {"strides": [8, 16, 32, 64, 128], "scale_multiplier": 4.0},
+        "stats": {"scenes": 5},
+        "thresholds": {"aspect_count": 100, "aspect_range": [1.0, 12.0], "angle_count": 64,
+                       "candidate_ious": [0.3, 0.5, 0.7], "gammas": [5.0]},
+        "beta": {"beta_scale": 1.0, "momentum": 0.9, "clamp": [0.02, 1.0]},
+        "loss_check": {"iterations": 200, "tau": 30.0, "points": 1000, "beta": 1.0,
+                       "focal_alpha": 0.25, "focal_gamma": 2.0},
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"schema_version": "1", **documented}))
+    cfg = load_run_config(path)
+    defaults = RunConfig()
+    assert cfg == replace(defaults, thresholds=replace(defaults.thresholds, gammas=(5.0,)))
+    assert cfg.gammas == defaults.gammas
+    assert cfg.anchors.strides == (8.0, 16.0, 32.0, 64.0, 128.0)
+    assert all(type(s) is float for s in cfg.anchors.strides)
+
 
 class TestLossCheckCommand:
     def test_passes_and_writes_trajectory(self, tmp_path):
@@ -150,6 +215,10 @@ class TestLossCheckCommand:
         for out in (out1, out2):
             assert run_cli(["loss-check", "--out", out, "--seed", "21", "--iterations", "40"]) == EXIT_OK
         assert read_tree(out1) == read_tree(out2)
+
+    @pytest.mark.parametrize("flags", [["--tau", "0"], ["--iterations", "0"]])
+    def test_invalid_flag_exits_2(self, tmp_path, flags):
+        assert run_cli(["loss-check", "--out", tmp_path / "o", *flags]) == EXIT_CONFIG
 
 
 class TestIouCommand:

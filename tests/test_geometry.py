@@ -67,6 +67,23 @@ class TestNormalizeObb:
         with pytest.raises(ValueError):
             normalize_obb(*bad)
 
+    @pytest.mark.parametrize("w, h", [(1, 1), (2, 1)])
+    def test_angle_just_below_lower_bound_wraps(self, w, h):
+        # theta + pi/4 rounds up to a whole period, onto the excluded bound
+        assert normalize_obb(0, 0, w, h, -0.7853981633974484).theta == -QP
+
+    @given(
+        cx=st.floats(allow_nan=False, allow_infinity=False),
+        cy=st.floats(allow_nan=False, allow_infinity=False),
+        w=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+        h=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+        theta=st.floats(allow_nan=False, allow_infinity=False),
+    )
+    @settings(max_examples=500)
+    def test_accepts_every_finite_positive_input(self, cx, cy, w, h, theta):
+        box = normalize_obb(cx, cy, w, h, theta)
+        assert (box.w, box.h) == (max(w, h), min(w, h))
+
     @given(
         w=st.floats(0.1, 100),
         h=st.floats(0.1, 100),
