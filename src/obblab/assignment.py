@@ -27,7 +27,7 @@ from .geometry import (
     QUARTER_PI,
     OrientedBox,
     _box_corners,
-    _intersection_area,
+    _iou,
     contains_points,
 )
 
@@ -103,6 +103,23 @@ class MaxIouConfig:
             raise ValueError("need 0 <= neg_thr <= pos_thr <= 1")
 
 
+@dataclass(frozen=True)
+class AnchorsConfig:
+    """Anchor pyramid of :func:`generate_anchors`: ascending strides and the
+    anchor side per stride."""
+
+    strides: tuple[float, ...] = (8.0, 16.0, 32.0, 64.0, 128.0)
+    scale_multiplier: float = 4.0
+
+    def __post_init__(self) -> None:
+        if not self.strides:
+            raise ValueError("at least one stride is required")
+        if any(s <= 0 for s in self.strides) or list(self.strides) != sorted(self.strides):
+            raise ValueError("strides must be positive and ascending")
+        if self.scale_multiplier <= 0:
+            raise ValueError("scale_multiplier must be positive")
+
+
 @dataclass(frozen=True, eq=False)
 class AnchorLevel:
     stride: float
@@ -136,7 +153,7 @@ class AnchorGrid:
 def generate_anchors(
     image_size: int | tuple[int, int],
     strides: list[float] | tuple[float, ...],
-    scale_multiplier: float = 4.0,
+    scale_multiplier: float = AnchorsConfig.scale_multiplier,
 ) -> AnchorGrid:
     """Lay one square anchor of side stride * scale_multiplier per cell.
 
@@ -148,13 +165,7 @@ def generate_anchors(
     width_px, height_px = image_size
     if width_px <= 0 or height_px <= 0:
         raise ValueError("image_size must be positive")
-    strides = tuple(float(s) for s in strides)
-    if not strides:
-        raise ValueError("at least one stride is required")
-    if any(s <= 0 for s in strides) or list(strides) != sorted(strides):
-        raise ValueError("strides must be positive and ascending")
-    if scale_multiplier <= 0:
-        raise ValueError("scale_multiplier must be positive")
+    strides = AnchorsConfig(tuple(float(s) for s in strides), scale_multiplier).strides
 
     levels = []
     centers = []
@@ -284,34 +295,12 @@ class AssignmentResult:
     def negative_mask(self) -> np.ndarray:
         return self.gt_index == NEGATIVE
 
-    def ignore_mask(self) -> np.ndarray:
-        return self.gt_index == IGNORE
-
-
-def _anchor_corner_lists(grid: AnchorGrid, indices: np.ndarray):
-    half = grid.sizes[indices] * 0.5
-    cx = grid.centers[indices, 0]
-    cy = grid.centers[indices, 1]
-    x0, x1 = cx - half, cx + half
-    y0, y1 = cy - half, cy + half
-    return [
-        [(x1[i], y1[i]), (x0[i], y1[i]), (x0[i], y0[i]), (x1[i], y0[i])]
-        for i in range(len(indices))
-    ]
-
 
 def _ious_against_anchors(grid: AnchorGrid, indices: np.ndarray, gt_box: OrientedBox) -> np.ndarray:
-    """Exact IoU between one gt box and the given anchors."""
-    gt_poly = _box_corners(gt_box)
-    gt_area = gt_box.area
-    sizes = grid.sizes[indices]
-    areas = sizes * sizes
-    out = np.zeros(len(indices))
-    for i, anchor_poly in enumerate(_anchor_corner_lists(grid, indices)):
-        inter = _intersection_area(gt_poly, anchor_poly)
-        if inter > 0.0:
-            out[i] = min(1.0, inter / (gt_area + areas[i] - inter))
-    return out
+    """Exact IoU between one gt box and the given anchors. The gt is always
+    the polygon being clipped, with no canonical reordering, so a value may
+    differ from :func:`rotated_iou` in the last bit."""
+    return np.array([_iou(gt_box, grid.box(i)) for i in indices.tolist()], dtype=float)
 
 
 def _overlapping_anchor_indices(grid: AnchorGrid, gt_box: OrientedBox) -> np.ndarray:

@@ -28,6 +28,7 @@ from .assignment import (
     ANGLE_DEPENDENT,
     CONSTANT_ONE,
     AnchorGrid,
+    AnchorsConfig,
     AssignmentResult,
     MasConfig,
     MaxIouConfig,
@@ -38,7 +39,7 @@ from .assignment import (
     iou_statistics,
     shape_weight,
 )
-from .geometry import QUARTER_PI, HALF_PI, normalize_obb, mc_iou_oracle, rotated_iou
+from .geometry import QUARTER_PI, HALF_PI, OrientedBox, normalize_obb, mc_iou_oracle, rotated_iou
 from .losses import (
     BetaState,
     MultiTaskLossConfig,
@@ -85,18 +86,6 @@ class AtssConfig:
     def __post_init__(self) -> None:
         if self.k < 1:
             raise ValueError("k must be >= 1")
-
-
-@dataclass(frozen=True)
-class AnchorsConfig:
-    """Anchor pyramid: ascending strides and the anchor side per stride."""
-
-    strides: tuple[float, ...] = (8.0, 16.0, 32.0, 64.0, 128.0)
-    scale_multiplier: float = 4.0
-
-    def __post_init__(self) -> None:
-        # A one-pixel grid is cheap and applies the grid's own checks.
-        generate_anchors(1, self.strides, self.scale_multiplier)
 
 
 @dataclass(frozen=True)
@@ -576,10 +565,17 @@ def cmd_loss_check(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _flag_box(values) -> OrientedBox:
+    """A box given on the command line; an invalid one is a usage error."""
+    try:
+        return normalize_obb(*values)
+    except ValueError as exc:
+        raise ConfigError(exc) from None
+
+
 def cmd_iou(args: argparse.Namespace) -> int:
-    values = args.box
-    box_a = normalize_obb(*values[:5])
-    box_b = normalize_obb(*values[5:])
+    box_a = _flag_box(args.box[:5])
+    box_b = _flag_box(args.box[5:])
     print(f"{rotated_iou(box_a, box_b):.6f}")
     if args.oracle is not None:
         if args.oracle < 1:
@@ -692,7 +688,7 @@ def _demo_kernel(kind: str, channels: int, seed: int) -> np.ndarray:
 def cmd_cfs_demo(args: argparse.Namespace) -> int:
     out = _out_dir(args)
     grid = load_feature_grid(args.features)
-    box = normalize_obb(*args.box)
+    box = _flag_box(args.box)
     offsets = _load_offsets(args.offsets) if args.offsets else None
     if not 0.0 <= args.shrink < 1.0:
         raise ConfigError("--shrink must lie in [0, 1)")

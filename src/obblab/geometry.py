@@ -120,28 +120,36 @@ class ConvexQuad:
 
     @staticmethod
     def _orient(pts: np.ndarray) -> np.ndarray | None:
-        if signed_area(pts) < 0.0:
-            pts = pts[::-1]
         nxt = np.roll(pts, -1, axis=0)
         prv = np.roll(pts, 1, axis=0)
         cross = (nxt[:, 0] - pts[:, 0]) * (prv[:, 1] - pts[:, 1]) - (
             nxt[:, 1] - pts[:, 1]
         ) * (prv[:, 0] - pts[:, 0])
-        # Strictly convex CCW quads turn left at every vertex.
+        # Strictly convex CCW quads turn left at every vertex, CW quads right
+        # (reversing the order negates each turn exactly). The turns use
+        # vertex differences, so tiny quads far from the origin still orient.
         if np.all(cross > 0.0):
             return pts
+        if np.all(cross < 0.0):
+            return pts[::-1]
         return None
 
     @property
     def area(self) -> float:
-        return signed_area(self.vertices)
+        return signed_area(self.vertices.tolist())
 
 
-def signed_area(vertices: np.ndarray) -> float:
-    """Shoelace signed area; positive for counter-clockwise order."""
-    x = vertices[:, 0]
-    y = vertices[:, 1]
-    return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
+def signed_area(points) -> float:
+    """Shoelace signed area of a sequence of (x, y) vertices; positive for
+    counter-clockwise order. The terms are added one at a time in vertex
+    order, which fixes how the clipper's overlap areas round."""
+    n = len(points)
+    acc = 0.0
+    for i in range(n):
+        x0, y0 = points[i]
+        x1, y1 = points[(i + 1) % n]
+        acc += x0 * y1 - x1 * y0
+    return 0.5 * acc
 
 
 def obb_to_polygon(box: OrientedBox) -> ConvexQuad:
@@ -233,21 +241,9 @@ def _merge_close(points):
     return merged
 
 
-def _vertex_list_area(points) -> float:
-    n = len(points)
-    if n < 3:
-        return 0.0
-    acc = 0.0
-    for i in range(n):
-        x0, y0 = points[i]
-        x1, y1 = points[(i + 1) % n]
-        acc += x0 * y1 - x1 * y0
-    return 0.5 * acc
-
-
 def _intersection_area(subject, clip) -> float:
     clipped = _merge_close(_clip_polygon(subject, clip))
-    return max(0.0, _vertex_list_area(clipped))
+    return max(0.0, signed_area(clipped))
 
 
 def polygon_intersection_area(a: ConvexQuad, b: ConvexQuad) -> float:
@@ -255,7 +251,7 @@ def polygon_intersection_area(a: ConvexQuad, b: ConvexQuad) -> float:
 
     Clipping is exact for convex inputs, so the only rounding comes from the
     edge-intersection arithmetic itself."""
-    return _intersection_area([tuple(p) for p in a.vertices], [tuple(p) for p in b.vertices])
+    return _intersection_area(a.vertices.tolist(), b.vertices.tolist())
 
 
 def rotated_iou(a: OrientedBox, b: OrientedBox) -> float:
@@ -265,6 +261,12 @@ def rotated_iou(a: OrientedBox, b: OrientedBox) -> float:
     bitwise symmetric in its arguments."""
     if (b.cx, b.cy, b.w, b.h, b.theta) < (a.cx, a.cy, a.w, a.h, a.theta):
         a, b = b, a
+    return _iou(a, b)
+
+
+def _iou(a: OrientedBox, b: OrientedBox) -> float:
+    """IoU with ``a`` clipped by ``b``; the argument order fixes the
+    rounding, so callers that need symmetry go through :func:`rotated_iou`."""
     inter = _intersection_area(_box_corners(a), _box_corners(b))
     union = a.area + b.area - inter
     if union <= 0.0:

@@ -98,9 +98,6 @@ class FeatureGrid:
     def channels(self) -> int:
         return self.values.shape[2]
 
-    def at(self, x: int, y: int, channel: int = 0) -> float:
-        return float(self.values[y, x, channel])
-
 
 def shrink_obb(box: OrientedBox, factor: float) -> OrientedBox:
     """Scale both edge lengths by (1 - factor) about the center; the angle

@@ -13,6 +13,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, fields, is_dataclass, replace
 from importlib import resources
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -269,8 +270,9 @@ def from_dict(cls, data, context: str, keys=None):
     """Build the self-validating frozen dataclass ``cls`` from a JSON object
     holding only its fields (or only ``keys``). Lists become tuples, of the
     default's length unless annotated ``tuple[T, ...]``, and numbers take
-    the type of the default; a field whose default is a dataclass is a
-    nested object, limited to its metadata's ``"keys"``."""
+    the type of the default; the items of an optional ``tuple[T, ...]``
+    take the type T. A field whose default is a dataclass is a nested
+    object, limited to its metadata's ``"keys"``."""
     if not isinstance(data, dict):
         raise ValueError(f"{context} must be a JSON object")
     known = {f.name: f for f in fields(cls)}
@@ -281,6 +283,9 @@ def from_dict(cls, data, context: str, keys=None):
     values = {}
     for name, value in data.items():
         default = getattr(defaults, name)
+        if default is None and value is not None:
+            item_type = get_args(get_args(get_type_hints(cls)[name])[0])[0]
+            default = (item_type(),)
         if is_dataclass(default):
             values[name] = from_dict(type(default), value, name, known[name].metadata.get("keys"))
         else:

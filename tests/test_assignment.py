@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from obblab.assignment import (
     CONSTANT_ONE,
     IGNORE,
     NEGATIVE,
     AnchorGrid,
+    AnchorsConfig,
     GroundTruth,
     MasConfig,
     angle_weight,
@@ -19,11 +21,31 @@ from obblab.assignment import (
     mas_threshold,
     select_candidates,
     shape_weight,
+    _ious_against_anchors,
 )
 from obblab.geometry import center_distance, normalize_obb, rotated_iou
 from obblab.scenes import SceneSpec, generate_scene
 
 QP = math.pi / 4.0
+
+# Two levels, 80 anchors: small enough for hypothesis to scan every anchor.
+SMALL_GRID = generate_anchors(64, [8, 16], 4)
+
+
+@st.composite
+def gts_near_anchors(draw):
+    """A free box, or a box on an anchor, exactly or jittered by 1e-9."""
+    kind = draw(st.sampled_from(["free", "on-anchor", "jittered"]))
+    if kind == "free":
+        return normalize_obb(
+            draw(st.floats(-8, 72)), draw(st.floats(-8, 72)),
+            draw(st.floats(0.5, 80)), draw(st.floats(0.5, 80)), draw(st.floats(-4, 4)),
+        )
+    anchor = SMALL_GRID.box(draw(st.integers(0, SMALL_GRID.num_anchors - 1)))
+    jitter = [draw(st.sampled_from([-1e-9, 0.0, 1e-9])) if kind == "jittered" else 0.0 for _ in range(5)]
+    return normalize_obb(
+        anchor.cx + jitter[0], anchor.cy + jitter[1], anchor.w + jitter[2], anchor.h + jitter[3], jitter[4]
+    )
 
 
 @pytest.fixture(scope="module")
@@ -52,6 +74,9 @@ class TestGenerateAnchors:
         assert grid.num_anchors == 1
         assert tuple(grid.centers[0]) == (4.0, 4.0)
         assert grid.sizes[0] == 32.0
+
+    def test_default_multiplier_comes_from_anchors_config(self):
+        assert generate_anchors(64, [8]).sizes[0] == 8 * AnchorsConfig.scale_multiplier
 
     def test_anchor_side_is_stride_times_multiplier(self):
         grid = generate_anchors(64, [8], 4)
@@ -371,6 +396,27 @@ class TestAssignAtss:
         gts = random_gts(rng, 10)
         result = assign_atss(pyramid_grid, gts, k=9)
         assert np.all((result.gt_index >= 0) | (result.gt_index == NEGATIVE))
+
+
+@given(gt_box=gts_near_anchors())
+@settings(max_examples=200, deadline=None)
+def test_anchor_ious_match_rotated_iou(gt_box):
+    ious = _ious_against_anchors(SMALL_GRID, np.arange(SMALL_GRID.num_anchors), gt_box)
+    assert np.all((ious >= 0.0) & (ious <= 1.0))
+    expected = [rotated_iou(gt_box, SMALL_GRID.box(i)) for i in range(SMALL_GRID.num_anchors)]
+    np.testing.assert_allclose(ious, expected, rtol=0.0, atol=1e-12)
+
+
+@given(
+    index=st.integers(0, SMALL_GRID.num_anchors - 1),
+    jitter=st.sampled_from([0.0, 1e-9, -1e-9]),
+    assign=st.sampled_from([assign_maxiou, assign_atss, assign_mas]),
+)
+@settings(max_examples=200, deadline=None)
+def test_gt_on_any_anchor_gets_a_positive(index, jitter, assign):
+    anchor = SMALL_GRID.box(index)
+    gt = GroundTruth(normalize_obb(anchor.cx + jitter, anchor.cy, anchor.w, anchor.h - jitter, jitter))
+    assert assign(SMALL_GRID, [gt]).positive_counts[0] >= 1
 
 
 @pytest.mark.parametrize("assign", [assign_atss, assign_mas])

@@ -95,6 +95,25 @@ class TestStatsCommand:
         bad.write_text(json.dumps(payload))
         assert run_cli(["stats", "--config", bad, "--out", tmp_path / "o", *flags]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize(
+        "command, payload, message",
+        [
+            pytest.param(
+                "thresholds", {"thresholds": {"gammas": ["a"]}},
+                "thresholds.gammas must be a JSON number, got 'a'", id="gamma-item-not-a-number",
+            ),
+            pytest.param(
+                "stats", {"anchors": {"strides": [16, 8]}},
+                "anchors: strides must be positive and ascending", id="anchors-prefix",
+            ),
+        ],
+    )
+    def test_config_error_names_the_key(self, tmp_path, capsys, command, payload, message):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        assert run_cli([command, "--config", bad, "--out", tmp_path / "o"]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+
     def test_invalid_strategy_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
             run_cli(["stats", "--strategy", "bogus", "--out", tmp_path / "o"])
@@ -374,3 +393,18 @@ class TestCfsDemoCommand:
             assert code == EXIT_OK
             outs.append(read_tree(out))
         assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        pytest.param(["iou", "0", "0", "-1", "1", "0", "0", "0", "1", "1", "0"], id="iou"),
+        pytest.param(["cfs-demo", "--box", "1", "1", "0", "1", "0"], id="cfs-demo"),
+    ],
+)
+def test_bad_command_line_box_is_usage_error(tmp_path, capsys, command):
+    features = tmp_path / "features.txt"
+    features.write_text("2 2 1\n0.0 1.0\n2.0 3.0\n")
+    extra = ["--features", features] if command[0] == "cfs-demo" else []
+    assert run_cli([*command, *extra, "--out", tmp_path / "o"]) == EXIT_CONFIG
+    assert "box edges must be positive" in capsys.readouterr().err

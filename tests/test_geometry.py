@@ -23,6 +23,9 @@ from obblab.geometry import (
 
 QP = math.pi / 4.0
 
+# Boxes 1e-6 to 40 px on a side, close enough to overlap often.
+BOXES = st.builds(normalize_obb, st.floats(-20, 20), st.floats(-20, 20), st.floats(1e-6, 40), st.floats(1e-6, 40), st.floats(-4, 4))
+
 
 def random_box(rng, span=50.0):
     return normalize_obb(
@@ -131,6 +134,13 @@ class TestPolygonConversion:
             assert sorted(edges) == pytest.approx(sorted([box.w, box.w, box.h, box.h]))
             assert signed_area(quad.vertices) == pytest.approx(box.area)
 
+    def test_tiny_quad_far_from_origin_orients(self):
+        # Its shoelace sum is dominated by rounding; the turn signs are not.
+        box = normalize_obb(1522.1612486779309, 3538.8749814217604, 3.66e-07, 1.36e-07, -1.4176458154492648)
+        corners = obb_to_polygon(box).vertices
+        reversed_quad = ConvexQuad.from_points(corners[::-1])
+        assert np.array_equal(reversed_quad.vertices, corners)
+
 
 class TestQuadToObb:
     def test_rectangle_round_trip(self):
@@ -237,6 +247,13 @@ class TestRotatedIou:
         for _ in range(10_000):
             a, b = random_box(rng, 8), random_box(rng, 8)
             assert rotated_iou(a, b) == rotated_iou(b, a)
+
+    @given(a=BOXES, b=BOXES, seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_iou_and_oracle_lie_in_unit_interval(self, a, b, seed):
+        for x, y in ((a, b), (a, a)):
+            assert 0.0 <= rotated_iou(x, y) <= 1.0
+            assert 0.0 <= mc_iou_oracle(x, y, 256, seed) <= 1.0
 
     def test_rigid_motion_equivariance(self):
         rng = np.random.default_rng(37)
