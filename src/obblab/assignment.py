@@ -1,10 +1,10 @@
 """Anchor generation and positive/negative label assignment for oriented
 boxes.
 
-Three strategies share one substrate:
+Three strategies run one labelling pipeline, with one claim resolver and
+one starved-gt fallback:
 
-* ``assign_maxiou``  -- fixed thresholds with a best-anchor fallback per
-  ground truth.
+* ``assign_maxiou``  -- fixed thresholds over the anchors a gt overlaps.
 * ``assign_atss``    -- per-gt adaptive threshold mean + std of candidate
   IoUs, candidates being the k nearest anchors per pyramid level.
 * ``assign_mas``     -- the adaptive threshold modulated by a shape weight
@@ -329,60 +329,75 @@ def _apply_fallback(
     gt_index: np.ndarray,
     candidates: list[np.ndarray],
     candidate_ious: list[np.ndarray],
-) -> None:
-    """Give every starved gt its best nonzero-IoU candidate.
+) -> np.ndarray:
+    """Give every starved gt a positive where it can; return the per-gt
+    positive counts.
 
-    Runs to a fixpoint: forcing may steal the sole positive of another gt,
-    which then reclaims its next-best candidate on a later sweep. Anchors
-    forced once are not stealable again, which guarantees termination."""
-    num_gts = len(candidates)
-    forced: set[int] = set()
-    changed = True
-    while changed:
-        changed = False
-        for g in range(num_gts):
-            if np.any(gt_index == g):
-                continue
-            ious = candidate_ious[g]
-            if ious.size == 0 or ious.max() <= 0.0:
-                continue
-            order = np.lexsort((candidates[g], -ious))
-            for pos in order:
-                if ious[pos] <= 0.0:
-                    break
-                anchor = int(candidates[g][pos])
-                if anchor in forced:
-                    continue
-                gt_index[anchor] = g
-                forced.add(anchor)
-                changed = True
-                break
+    Works in rounds. Each gt with no positive claims its best candidate
+    that no round has forced yet: the highest nonzero IoU, ties to the
+    lowest anchor index. The round's claims go through
+    :func:`_resolve_claims`, and each winner is forced positive, even over
+    another gt's claim. A gt that lost its last positive, or lost the
+    contest, claims again in the next round. Forced anchors are never
+    claimed again, so the rounds end."""
+    counts = np.bincount(gt_index[gt_index >= 0], minlength=len(candidates))
+    forced = np.zeros(gt_index.shape, dtype=bool)
+    while True:
+        claims = []
+        for g in np.flatnonzero(counts == 0).tolist():
+            free = (candidate_ious[g] > 0.0) & ~forced[candidates[g]]
+            if np.any(free):
+                anchors, ious = candidates[g][free], candidate_ious[g][free]
+                best = np.lexsort((anchors, -ious))[0]
+                claims.append((anchors[best], ious[best], g))
+        if not claims:
+            return counts
+        anchors, ious, gts = (np.array(column) for column in zip(*claims))
+        won = np.unique(anchors)
+        losers = gt_index[won]
+        _resolve_claims(gt_index, anchors, ious, gts)
+        counts -= np.bincount(losers[losers >= 0], minlength=counts.size)
+        counts += np.bincount(gt_index[won], minlength=counts.size)
+        forced[won] = True
 
 
-def _assign_adaptive(grid: AnchorGrid, gts, cfg: MasConfig) -> AssignmentResult:
-    num_gts = len(gts)
-    thresholds = np.zeros(num_gts)
+def _assign(grid: AnchorGrid, gts, cfg: MasConfig | MaxIouConfig) -> AssignmentResult:
+    """The labelling pipeline of all three strategies.
+
+    Per gt: the candidate anchors (the k nearest per level for ATSS and MAS,
+    the overlapping ones for maxiou), their exact IoUs, a threshold, and
+    claims on the candidates whose IoU is nonzero and meets it; ATSS and MAS
+    also apply the center prior. Claims are resolved by IoU, maxiou marks
+    its ignore band, and :func:`_apply_fallback` serves the starved gts."""
+    adaptive = isinstance(cfg, MasConfig)
+    thresholds = np.zeros(len(gts))
     candidates: list[np.ndarray] = []
     candidate_ious: list[np.ndarray] = []
     claims: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []  # (anchors, ious, gts) per gt
 
     for g, gt in enumerate(gts):
-        cand = select_candidates(grid, gt, cfg.candidate_k)
+        if adaptive:
+            cand = select_candidates(grid, gt, cfg.candidate_k)
+        else:
+            cand = _overlapping_anchor_indices(grid, gt.box)
         ious = _ious_against_anchors(grid, cand, gt.box)
         candidates.append(cand)
         candidate_ious.append(ious)
-        thr = mas_threshold(gt, ious, cfg)
-        thresholds[g] = thr
-        eligible = ious >= thr
-        if cfg.use_center_prior:
+        thresholds[g] = mas_threshold(gt, ious, cfg) if adaptive else cfg.pos_thr
+        eligible = (ious >= thresholds[g]) & (ious > 0.0)
+        if adaptive and cfg.use_center_prior:
             eligible &= contains_points(gt.box, grid.centers[cand])
         claims.append((cand[eligible], ious[eligible], np.full(np.count_nonzero(eligible), g)))
 
     gt_index = np.full(grid.num_anchors, NEGATIVE, dtype=int)
     if claims:
         _resolve_claims(gt_index, *(np.concatenate(column) for column in zip(*claims)))
-    _apply_fallback(gt_index, candidates, candidate_ious)
-    counts = np.bincount(gt_index[gt_index >= 0], minlength=num_gts) if num_gts else np.zeros(0, dtype=int)
+    if not adaptive:
+        max_iou = np.zeros(grid.num_anchors)
+        for cand, ious in zip(candidates, candidate_ious):
+            max_iou[cand] = np.maximum(max_iou[cand], ious)
+        gt_index[(max_iou >= cfg.neg_thr) & (gt_index == NEGATIVE)] = IGNORE
+    counts = _apply_fallback(gt_index, candidates, candidate_ious)
     return AssignmentResult(gt_index=gt_index, thresholds=thresholds, positive_counts=counts)
 
 
@@ -391,9 +406,12 @@ def assign_mas(grid: AnchorGrid, gts, cfg: MasConfig | None = None) -> Assignmen
 
     Per gt: take the k nearest anchors per level, threshold their IoUs at
     the shape-modulated mean + std, optionally require anchor centers inside
-    the gt, resolve multi-gt anchors by IoU, then force a best-IoU fallback
-    for gts that would otherwise receive nothing."""
-    return _assign_adaptive(grid, gts, cfg or MasConfig())
+    the gt, and resolve multi-gt anchors by IoU, ties to the lower gt index.
+    A gt left without a positive then gets its best free nonzero-IoU
+    candidate, by the starved-gt rule that all three strategies share
+    (:func:`_apply_fallback`). Labels are invariant under gt permutation
+    up to exact IoU ties."""
+    return _assign(grid, gts, cfg or MasConfig())
 
 
 def assign_atss(
@@ -403,7 +421,7 @@ def assign_atss(
     use_center_prior: bool = MasConfig.use_center_prior,
     threshold_clamp: tuple[float, float] = MasConfig.threshold_clamp,
 ) -> AssignmentResult:
-    """Adaptive-threshold baseline: identical pipeline with the shape weight
+    """Adaptive-threshold baseline: :func:`assign_mas` with the shape weight
     pinned to 1."""
     cfg = MasConfig(
         candidate_k=k,
@@ -411,7 +429,7 @@ def assign_atss(
         threshold_clamp=threshold_clamp,
         unit_weight=True,
     )
-    return _assign_adaptive(grid, gts, cfg)
+    return assign_mas(grid, gts, cfg)
 
 
 def assign_maxiou(
@@ -422,38 +440,11 @@ def assign_maxiou(
 ) -> AssignmentResult:
     """Fixed-threshold baseline.
 
-    An anchor is positive for its argmax-IoU gt when that IoU >= pos_thr,
-    negative below neg_thr, ignored between. Each gt with any nonzero-IoU
-    anchor additionally forces its best anchor positive; contested forced
-    anchors go to the gt of higher IoU, ties to the lower gt index. Argmax
-    ties also break toward the lower gt index, making the labels invariant
-    under gt permutation (up to exact-tie degeneracy)."""
-    MaxIouConfig(pos_thr, neg_thr)  # validates the thresholds
-    num_anchors = grid.num_anchors
-    num_gts = len(gts)
-    max_iou = np.zeros(num_anchors)
-    argmax_gt = np.full(num_anchors, NEGATIVE, dtype=int)
-    best_iou = np.zeros(num_gts)
-    best_anchor = np.full(num_gts, -1)
-
-    for g, gt in enumerate(gts):
-        indices = _overlapping_anchor_indices(grid, gt.box)
-        ious = _ious_against_anchors(grid, indices, gt.box)
-        better = ious > max_iou[indices]
-        max_iou[indices[better]] = ious[better]
-        argmax_gt[indices[better]] = g
-        if ious.size and ious.max() > 0.0:
-            pos = int(np.argmax(ious))  # first occurrence: lowest anchor index
-            best_iou[g], best_anchor[g] = ious[pos], indices[pos]
-
-    gt_index = np.full(num_anchors, NEGATIVE, dtype=int)
-    gt_index[max_iou >= neg_thr] = IGNORE
-    positive = max_iou >= pos_thr
-    gt_index[positive] = argmax_gt[positive]
-
-    forced = np.nonzero(best_anchor >= 0)[0]
-    _resolve_claims(gt_index, best_anchor[forced], best_iou[forced], forced)
-
-    counts = np.bincount(gt_index[gt_index >= 0], minlength=num_gts) if num_gts else np.zeros(0, dtype=int)
-    thresholds = np.full(num_gts, pos_thr)
-    return AssignmentResult(gt_index=gt_index, thresholds=thresholds, positive_counts=counts)
+    An anchor is positive for the gt of highest IoU when that nonzero IoU
+    >= pos_thr, ties to the lower gt index. An anchor that is not positive
+    is ignored when its highest IoU is >= neg_thr and negative otherwise.
+    A gt left without a positive then gets its best free nonzero-IoU
+    anchor, by the starved-gt rule that all three strategies share
+    (:func:`_apply_fallback`). Labels are invariant under gt permutation
+    up to exact IoU ties."""
+    return _assign(grid, gts, MaxIouConfig(pos_thr, neg_thr))

@@ -116,8 +116,8 @@ class ThresholdsConfig:
         if self.aspect_range[0] < 1.0:
             raise ValueError("aspect_range minimum must be >= 1")
         iou_statistics(self.candidate_ious)  # rejects an empty list and values outside [0, 1]
-        if self.gammas is not None and not all(g > 0.0 for g in self.gammas):
-            raise ValueError("gammas must be positive")
+        if self.gammas is not None and not (self.gammas and all(g > 0.0 for g in self.gammas)):
+            raise ValueError("gammas must be a non-empty list of positive values")
 
 
 @dataclass(frozen=True)

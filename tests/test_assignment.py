@@ -53,6 +53,11 @@ def pyramid_grid():
     return generate_anchors(1024, [8, 16, 32, 64, 128], 4)
 
 
+STRATEGIES = pytest.mark.parametrize(
+    "assign", [assign_maxiou, assign_atss, assign_mas], ids=["maxiou", "atss", "mas"]
+)
+
+
 def random_gts(rng, count, image=1024, aspect=(1.0, 8.0), scale=(24.0, 96.0)):
     gts = []
     for _ in range(count):
@@ -277,17 +282,6 @@ class TestAssignMas:
             atss = assign_atss(pyramid_grid, gts, k=9)
             assert np.array_equal(mas.gt_index, atss.gt_index)
 
-    def test_every_overlapping_gt_gets_a_positive(self, pyramid_grid):
-        rng = np.random.default_rng(17)
-        for _ in range(10):
-            gts = random_gts(rng, 15)
-            result = assign_mas(pyramid_grid, gts, MasConfig())
-            for g, gt in enumerate(gts):
-                cand = select_candidates(pyramid_grid, gt, 9)
-                best = max(rotated_iou(pyramid_grid.box(int(i)), gt.box) for i in cand)
-                if best > 0:
-                    assert result.positive_counts[g] >= 1
-
     def test_positive_iou_meets_threshold_or_fallback(self, pyramid_grid):
         rng = np.random.default_rng(19)
         gts = random_gts(rng, 10)
@@ -356,27 +350,48 @@ class TestAssignMaxIou:
         assert result.positive_counts[0] == 1
 
     def test_equal_iou_forced_anchor_goes_to_lower_gt_index(self):
-        # two gts on one box: both force the same best anchor at equal IoU
+        # two gts on one box: both claim the same best anchor at equal IoU;
+        # gt 0 wins it and gt 1 takes its next-best anchor in the next round
         grid = generate_anchors(64, [8], 4)
         box = normalize_obb(28.0, 28.0, 40.0, 8.0, 0.3)
+        contested = int(np.argmax(_ious_against_anchors(grid, np.arange(grid.num_anchors), box)))
         result = assign_maxiou(grid, [GroundTruth(box, 1), GroundTruth(box, 2)], 0.5, 0.4)
-        assert result.positive_counts.tolist() == [1, 0]
+        assert result.gt_index[contested] == 0
+        assert result.positive_counts.tolist() == [1, 1]
+
+    def test_loser_of_contested_forced_anchor_takes_its_next_best(self):
+        # both gts are starved and want the same anchor; the higher IoU wins
+        # it, whatever the gt order, and the loser gets its runner-up
+        grid = generate_anchors(64, [8], 4)
+        every = np.arange(grid.num_anchors)
+        strong = GroundTruth(normalize_obb(28.0, 28.0, 40.0, 8.0, 0.0))
+        weak = GroundTruth(normalize_obb(28.0, 28.0, 40.0, 6.0, 0.0))
+        strong_ious = _ious_against_anchors(grid, every, strong.box)
+        weak_ious = _ious_against_anchors(grid, every, weak.box)
+        contested = int(np.argmax(strong_ious))
+        assert contested == int(np.argmax(weak_ious))
+        assert weak_ious[contested] < strong_ious[contested] < 0.5
+        weak_ious[contested] = 0.0
+        runner_up = int(np.argmax(weak_ious))
+        for gts in ([strong, weak], [weak, strong]):
+            result = assign_maxiou(grid, gts, 0.5, 0.4)
+            assert result.gt_index[contested] == gts.index(strong)
+            assert result.gt_index[runner_up] == gts.index(weak)
+            assert result.positive_counts.tolist() == [1, 1]
+
+    def test_zero_pos_thr_labels_every_anchor(self):
+        # every overlapping anchor claims the gt; every other anchor has
+        # highest IoU 0 >= neg_thr and is ignored
+        grid = generate_anchors(64, [8], 4)
+        gt = GroundTruth(normalize_obb(28.0, 28.0, 20.0, 10.0, 0.3))
+        ious = _ious_against_anchors(grid, np.arange(grid.num_anchors), gt.box)
+        assert 0 < np.count_nonzero(ious) < grid.num_anchors
+        result = assign_maxiou(grid, [gt], 0.0, 0.0)
+        assert np.array_equal(result.gt_index, np.where(ious > 0.0, 0, IGNORE))
 
     def test_thresholds_validated(self, pyramid_grid):
         with pytest.raises(ValueError):
             assign_maxiou(pyramid_grid, [], pos_thr=0.4, neg_thr=0.5)
-
-    def test_permutation_invariance(self, pyramid_grid):
-        rng = np.random.default_rng(29)
-        gts = random_gts(rng, 12)
-        base = assign_maxiou(pyramid_grid, gts, 0.5, 0.4)
-        perm = list(range(len(gts)))[::-1]
-        permuted = assign_maxiou(pyramid_grid, [gts[p] for p in perm], 0.5, 0.4)
-        remap = np.full_like(base.gt_index, NEGATIVE)
-        for new_index, old_index in enumerate(perm):
-            remap[permuted.gt_index == new_index] = old_index
-        remap[permuted.gt_index == IGNORE] = IGNORE
-        assert np.array_equal(remap, base.gt_index)
 
 
 class TestAssignAtss:
@@ -396,6 +411,39 @@ class TestAssignAtss:
         gts = random_gts(rng, 10)
         result = assign_atss(pyramid_grid, gts, k=9)
         assert np.all((result.gt_index >= 0) | (result.gt_index == NEGATIVE))
+
+
+@STRATEGIES
+@pytest.mark.parametrize("scene", ["random", "crowded"])
+def test_permutation_invariance(pyramid_grid, assign, scene):
+    if scene == "random":
+        grid, gts = pyramid_grid, random_gts(np.random.default_rng(29), 12)
+    else:
+        # 40 objects of 16-64 px in 256 px: starved gts contest anchors
+        grid = generate_anchors(256, [8, 16, 32, 64, 128], 4)
+        spec = SceneSpec(image_size=(256, 256), object_count=40, seed=90034, scale_range=(16.0, 64.0))
+        gts = list(generate_scene(spec).gts)
+    base = assign(grid, gts)
+    perm = list(range(len(gts)))[::-1]
+    permuted = assign(grid, [gts[p] for p in perm])
+    remap = np.full_like(base.gt_index, NEGATIVE)
+    for new_index, old_index in enumerate(perm):
+        remap[permuted.gt_index == new_index] = old_index
+    remap[permuted.gt_index == IGNORE] = IGNORE
+    assert np.array_equal(remap, base.gt_index)
+
+
+@STRATEGIES
+def test_every_overlapping_gt_gets_a_positive(pyramid_grid, assign):
+    rng = np.random.default_rng(17)
+    for _ in range(10):
+        gts = random_gts(rng, 15)
+        result = assign(pyramid_grid, gts)
+        for g, gt in enumerate(gts):
+            cand = select_candidates(pyramid_grid, gt, 9)
+            best = max(rotated_iou(pyramid_grid.box(int(i)), gt.box) for i in cand)
+            if best > 0:
+                assert result.positive_counts[g] >= 1
 
 
 @given(gt_box=gts_near_anchors())

@@ -88,6 +88,7 @@ class TestStatsCommand:
             pytest.param({"stats": {"scenes": 2.5}}, [], id="fractional-count"),
             pytest.param({"mas": {"use_center_prior": "yes"}}, [], id="string-for-bool"),
             pytest.param({"thresholds": {"gammas": [0]}}, [], id="zero-gamma"),
+            pytest.param({"thresholds": {"gammas": []}}, [], id="empty-gammas"),
         ],
     )
     def test_unknown_config_key_exits_2(self, tmp_path, payload, flags):
