@@ -19,8 +19,14 @@ import numpy as np
 QUARTER_PI = math.pi / 4.0
 HALF_PI = math.pi / 2.0
 
-# Vertices closer than this (pixels) are merged after clipping.
-_MERGE_EPS = 1e-9
+# Quad edges shorter than this (pixels) have no direction.
+_MIN_EDGE = 1e-9
+
+# Clipped vertices closer than this, relative to the size of their
+# coordinates, are merged: the band covers the rounding of an edge crossing
+# (under 1e-13 of the coordinates on the perfbench universes) and leaves a
+# real gap of 1e-9 px alone.
+_MERGE_RTOL = 1e-12
 
 # Samples per mask pass of the Monte-Carlo oracle: masks over whole batches
 # spend most of their time faulting in fresh pages for their temporaries.
@@ -179,7 +185,7 @@ def quad_to_obb(quad: ConvexQuad) -> OrientedBox:
         ex = pts[(i + 1) % 4, 0] - pts[i, 0]
         ey = pts[(i + 1) % 4, 1] - pts[i, 1]
         norm = math.hypot(ex, ey)
-        if norm < _MERGE_EPS:
+        if norm < _MIN_EDGE:
             continue
         dx, dy = ex / norm, ey / norm
         u = pts[:, 0] * dx + pts[:, 1] * dy
@@ -226,16 +232,24 @@ def _clip_polygon(subject: list[tuple[float, float]], clip: list[tuple[float, fl
 
 
 def _merge_close(points):
+    """Drop each vertex that repeats the last one kept up to rounding.
+
+    A dropped vertex takes its sliver of area with it, so the band is
+    relative to the size of the coordinates (:data:`_MERGE_RTOL` of the
+    first vertex's, at least 1 px): a fixed band in pixels cuts real corners
+    off small overlaps and makes the area depend on which box is clipped."""
     if len(points) < 2:
         return points
+    x0, y0 = points[0]
+    tol = _MERGE_RTOL * max(1.0, abs(x0), abs(y0))
     merged = [points[0]]
     for p in points[1:]:
         q = merged[-1]
-        if abs(p[0] - q[0]) > _MERGE_EPS or abs(p[1] - q[1]) > _MERGE_EPS:
+        if abs(p[0] - q[0]) > tol or abs(p[1] - q[1]) > tol:
             merged.append(p)
     while len(merged) > 1 and (
-        abs(merged[0][0] - merged[-1][0]) <= _MERGE_EPS
-        and abs(merged[0][1] - merged[-1][1]) <= _MERGE_EPS
+        abs(merged[0][0] - merged[-1][0]) <= tol
+        and abs(merged[0][1] - merged[-1][1]) <= tol
     ):
         merged.pop()
     return merged

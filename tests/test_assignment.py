@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from obblab.assignment import (
     CONSTANT_ONE,
@@ -23,7 +23,7 @@ from obblab.assignment import (
     shape_weight,
     _ious_against_anchors,
 )
-from obblab.geometry import center_distance, normalize_obb, rotated_iou
+from obblab.geometry import OrientedBox, center_distance, normalize_obb, rotated_iou
 from obblab.scenes import SceneSpec, generate_scene
 
 QP = math.pi / 4.0
@@ -447,6 +447,7 @@ def test_every_overlapping_gt_gets_a_positive(pyramid_grid, assign):
 
 
 @given(gt_box=gts_near_anchors())
+@example(gt_box=OrientedBox(19.999999999, 4.0, 32.0, 31.999999999, math.pi / 2))
 @settings(max_examples=200, deadline=None)
 def test_anchor_ious_match_rotated_iou(gt_box):
     ious = _ious_against_anchors(SMALL_GRID, np.arange(SMALL_GRID.num_anchors), gt_box)

@@ -223,6 +223,16 @@ class TestIntersectionArea:
             assert ab == pytest.approx(ba, abs=1e-9)
             assert ab <= min(a.area, b.area) + 1e-9
 
+    def test_corner_a_hair_from_a_crossing_is_kept(self):
+        # clipping the square by the box puts a crossing 1e-9 px from the
+        # square's corner (20, -12); that corner still bounds a 1e-9 x 32
+        # sliver, so both clipping orders give the exact 16.0000000005 x 32
+        box = obb_to_polygon(normalize_obb(19.999999999, 4.0, 32.0, 31.999999999, math.pi / 2))
+        square = obb_to_polygon(normalize_obb(4.0, 4.0, 32.0, 32.0, 0.0))
+        exact = (20.0 - 3.9999999995) * 32.0
+        assert polygon_intersection_area(box, square) == pytest.approx(exact, rel=1e-15)
+        assert polygon_intersection_area(square, box) == pytest.approx(exact, rel=1e-15)
+
     def test_contained_quad_returns_inner_area(self):
         inner = obb_to_polygon(normalize_obb(0, 0, 1, 1, 0.3))
         outer = obb_to_polygon(normalize_obb(0, 0, 10, 10, 0))
