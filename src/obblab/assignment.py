@@ -149,6 +149,16 @@ class AnchorGrid:
         size = float(self.sizes[index])
         return OrientedBox(float(cx), float(cy), size, size, 0.0)
 
+    def window(self, level: int, cols: tuple[int, int], rows: tuple[int, int]) -> np.ndarray:
+        """Ascending indices of the anchors of ``levels[level]`` whose cell
+        lies in columns cols[0]..cols[1] and rows rows[0]..rows[1]
+        (inclusive, clipped to the level)."""
+        lattice = self.levels[level]
+        col_ids = np.arange(max(cols[0], 0), min(cols[1], lattice.width - 1) + 1)
+        row_ids = np.arange(max(rows[0], 0), min(rows[1], lattice.height - 1) + 1)
+        start = self.level_slices[level].start
+        return (start + row_ids[:, None] * lattice.width + col_ids).ravel()
+
 
 def generate_anchors(
     image_size: int | tuple[int, int],
@@ -235,16 +245,56 @@ def select_candidates(grid: AnchorGrid, gt: GroundTruth, k: int) -> np.ndarray:
     """Indices of the k anchors nearest to the gt center, per pyramid level.
 
     Levels holding fewer than k anchors contribute all of them. Distance ties
-    break toward the lower anchor index (stable sort)."""
+    break toward the lower anchor index (stable sort). Each level is searched
+    in a cell window around the gt center, widened until its k-th distance
+    is strictly below that of every cell outside it, so the result equals a
+    stable sort of the whole level."""
     if k < 1:
         raise ValueError("k must be >= 1")
+    gx, gy = gt.box.cx, gt.box.cy
+    radius = math.ceil((math.sqrt(k) - 1.0) / 2.0)  # smallest (2r+1)^2 >= k
     picked = []
-    for level_slice in grid.level_slices:
-        centers = grid.centers[level_slice]
-        d2 = (centers[:, 0] - gt.box.cx) ** 2 + (centers[:, 1] - gt.box.cy) ** 2
-        order = np.argsort(d2, kind="stable")[:k]
-        picked.append(order + level_slice.start)
+    for level, lattice in enumerate(grid.levels):
+        col = _cell(gx / lattice.stride, lattice.width)
+        row = _cell(gy / lattice.stride, lattice.height)
+        r = radius
+        while True:
+            cols = (max(col - r, 0), min(col + r, lattice.width - 1))
+            rows = (max(row - r, 0), min(row + r, lattice.height - 1))
+            outside = _outside_distance(lattice, cols, rows, gx, gy)
+            idx = grid.window(level, cols, rows)
+            if idx.size >= k or outside == math.inf:
+                centers = grid.centers[idx]
+                d2 = (centers[:, 0] - gx) ** 2 + (centers[:, 1] - gy) ** 2
+                order = np.argsort(d2, kind="stable")[:k]
+                if outside == math.inf or d2[order[-1]] < outside:
+                    picked.append(idx[order])
+                    break
+            r = 2 * r or 1
     return np.concatenate(picked)
+
+
+def _cell(x: float, n: int) -> int:
+    """Lattice cell holding coordinate ``x``, given in cells, clamped to
+    [0, n - 1]; also safe for coordinates far outside the image."""
+    return int(min(n - 1, max(0.0, x)))
+
+
+def _outside_distance(lattice: AnchorLevel, cols, rows, gx: float, gy: float) -> float:
+    """Lower bound on the squared center distance of every cell outside the
+    window: that of the nearest column or row just outside it, rounded as
+    the distances are. The window holds the gt's cell, so those lines lie
+    between the gt and every cell beyond them. Infinite for a window that
+    covers the level."""
+    nearest = [math.inf]
+    for lo, hi, n, g in ((*cols, lattice.width, gx), (*rows, lattice.height, gy)):
+        if lo > 0:
+            d = (lo - 1 + 0.5) * lattice.stride - g
+            nearest.append(d * d)
+        if hi < n - 1:
+            d = (hi + 1 + 0.5) * lattice.stride - g
+            nearest.append(d * d)
+    return min(nearest)
 
 
 def iou_statistics(candidate_ious) -> tuple[float, float, float]:
@@ -300,20 +350,37 @@ def _ious_against_anchors(grid: AnchorGrid, indices: np.ndarray, gt_box: Oriente
     """Exact IoU between one gt box and the given anchors. The gt is always
     the polygon being clipped, with no canonical reordering, so a value may
     differ from :func:`rotated_iou` in the last bit."""
-    return np.array([_iou(gt_box, grid.box(i)) for i in indices.tolist()], dtype=float)
+    anchors = zip(grid.centers[indices].tolist(), grid.sizes[indices].tolist())
+    return np.array(
+        [_iou(gt_box, OrientedBox(cx, cy, size, size, 0.0)) for (cx, cy), size in anchors], dtype=float
+    )
 
 
 def _overlapping_anchor_indices(grid: AnchorGrid, gt_box: OrientedBox) -> np.ndarray:
     """Anchors whose axis-aligned bounds overlap the gt's bounds; every
-    anchor with nonzero IoU is included (anchors are axis-aligned)."""
+    anchor with nonzero IoU is included (anchors are axis-aligned).
+
+    Each level tests only the cell window that the gt's bounds reach,
+    padded by one cell against rounding, so the result, in ascending order,
+    equals the strict test over every anchor."""
     corners = np.array(_box_corners(gt_box))
     lo = corners.min(axis=0)
     hi = corners.max(axis=0)
-    half = grid.sizes * 0.5
-    cx = grid.centers[:, 0]
-    cy = grid.centers[:, 1]
-    mask = (cx - half < hi[0]) & (cx + half > lo[0]) & (cy - half < hi[1]) & (cy + half > lo[1])
-    return np.nonzero(mask)[0]
+    picked = []
+    for level, lattice in enumerate(grid.levels):
+        s, reach = lattice.stride, 0.5 * lattice.anchor_size
+        # column i overlaps when (lo - reach) / s - 0.5 < i < (hi + reach) / s - 0.5
+        cols, rows = (
+            (_cell((a - reach) / s - 0.5, n), _cell((b + reach) / s - 0.5, n) + 1)
+            for a, b, n in zip(lo.tolist(), hi.tolist(), (lattice.width, lattice.height))
+        )
+        idx = grid.window(level, cols, rows)
+        half = grid.sizes[idx] * 0.5
+        cx = grid.centers[idx, 0]
+        cy = grid.centers[idx, 1]
+        mask = (cx - half < hi[0]) & (cx + half > lo[0]) & (cy - half < hi[1]) & (cy + half > lo[1])
+        picked.append(idx[mask])
+    return np.concatenate(picked)
 
 
 def _resolve_claims(gt_index: np.ndarray, anchors: np.ndarray, ious: np.ndarray, gts: np.ndarray) -> None:

@@ -22,8 +22,9 @@ from obblab.assignment import (
     select_candidates,
     shape_weight,
     _ious_against_anchors,
+    _overlapping_anchor_indices,
 )
-from obblab.geometry import OrientedBox, center_distance, normalize_obb, rotated_iou
+from obblab.geometry import OrientedBox, _box_corners, normalize_obb, rotated_iou
 from obblab.scenes import SceneSpec, generate_scene
 
 QP = math.pi / 4.0
@@ -46,6 +47,47 @@ def gts_near_anchors(draw):
     return normalize_obb(
         anchor.cx + jitter[0], anchor.cy + jitter[1], anchor.w + jitter[2], anchor.h + jitter[3], jitter[4]
     )
+
+
+def brute_force_candidates(grid, gt, k):
+    """The k nearest anchors per level by a stable sort of the whole level."""
+    picked = []
+    for level_slice in grid.level_slices:
+        centers = grid.centers[level_slice]
+        d2 = (centers[:, 0] - gt.box.cx) ** 2 + (centers[:, 1] - gt.box.cy) ** 2
+        picked.append(np.argsort(d2, kind="stable")[:k] + level_slice.start)
+    return np.concatenate(picked)
+
+
+def brute_force_overlaps(grid, gt_box):
+    """Anchors whose bounds overlap the gt's bounds, by testing every anchor."""
+    corners = np.array(_box_corners(gt_box))
+    lo, hi = corners.min(axis=0), corners.max(axis=0)
+    half = grid.sizes * 0.5
+    cx, cy = grid.centers[:, 0], grid.centers[:, 1]
+    return np.nonzero((cx - half < hi[0]) & (cx + half > lo[0]) & (cy - half < hi[1]) & (cy + half > lo[1]))[0]
+
+
+@st.composite
+def lattices(draw):
+    """Square and non-square pyramids of up to 40 x 40 cells; coarse levels
+    of small images hold fewer cells than k."""
+    strides = draw(st.lists(st.sampled_from([4.0, 8.0, 16.0, 32.0, 64.0]), min_size=1, max_size=3, unique=True))
+    width = draw(st.integers(1, 160))
+    height = draw(st.one_of(st.just(width), st.integers(1, 160)))
+    multiplier = draw(st.sampled_from([1.0, 2.5, 4.0]))
+    return generate_anchors((width, height), sorted(strides), multiplier), (width, height)
+
+
+@st.composite
+def lattice_coordinates(draw, stride, extent):
+    """On an anchor center or a cell edge of the level of ``stride``, exactly
+    or 1e-9 off, or anywhere up to 1e6 px outside the image."""
+    kind = draw(st.sampled_from(["center", "edge", "far"]))
+    if kind == "far":
+        return draw(st.floats(-1e6, extent + 1e6))
+    cell = draw(st.integers(-2, math.ceil(extent / stride) + 2))
+    return (cell + (0.5 if kind == "center" else 0.0)) * stride + draw(st.sampled_from([0.0, 0.0, -1e-9, 1e-9]))
 
 
 @pytest.fixture(scope="module")
@@ -102,6 +144,14 @@ class TestGenerateAnchors:
             generate_anchors(64, [16, 8])
         with pytest.raises(ValueError):
             generate_anchors(64, [8], -1)
+
+    def test_window_is_clipped_and_ascending(self):
+        grid = generate_anchors((40, 24), [8, 16], 4)  # 5 x 3 and 3 x 2 cells
+        cells = np.floor(grid.centers / [[8.0, 8.0]]).astype(int)
+        got = grid.window(0, (-1, 1), (2, 7))
+        assert got.tolist() == [10, 11]
+        assert cells[got].tolist() == [[0, 2], [1, 2]]
+        assert grid.window(1, (1, 9), (0, 1)).tolist() == [16, 17, 19, 20]
 
     def test_anchor_boxes_are_normalized_squares(self, pyramid_grid):
         box = pyramid_grid.box(0)
@@ -235,18 +285,47 @@ class TestSelectCandidates:
         picked = select_candidates(grid, gt, 99)
         assert sorted(picked.tolist()) == [0, 1, 2, 3]
 
+    def test_ties_on_cell_edges_go_to_the_lower_index(self):
+        grid = generate_anchors(64, [8], 4)
+        # on the edge between the anchors at (12, 12) and (20, 12)
+        edge = GroundTruth(normalize_obb(16.0, 12.0, 10, 5, 0))
+        assert select_candidates(grid, edge, 1).tolist() == [9]
+        # on the corner shared by the anchors at (12|20, 12|20)
+        corner = GroundTruth(normalize_obb(16.0, 16.0, 10, 5, 0))
+        assert select_candidates(grid, corner, 3).tolist() == [9, 10, 17]
+
     def test_against_brute_force_distance_sort(self, pyramid_grid):
-        rng = np.random.default_rng(3)
-        for _ in range(10):
-            gt = random_gts(rng, 1)[0]
+        for gt in random_gts(np.random.default_rng(3), 10):
             picked = select_candidates(pyramid_grid, gt, 9)
             assert len(picked) == 45
-            for level_slice in pyramid_grid.level_slices:
-                level_picked = [p for p in picked if level_slice.start <= p < level_slice.stop]
-                dists = [center_distance(pyramid_grid.box(i), gt.box) for i in range(level_slice.start, level_slice.stop)]
-                best9 = np.sort(np.array(dists))[:9]
-                got = np.sort([center_distance(pyramid_grid.box(int(i)), gt.box) for i in level_picked])
-                assert got == pytest.approx(best9)
+            assert np.array_equal(picked, brute_force_candidates(pyramid_grid, gt, 9))
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_select_candidates_equals_full_stable_sort(data):
+    grid, (width, height) = data.draw(lattices())
+    stride = data.draw(st.sampled_from([level.stride for level in grid.levels]))
+    cx = data.draw(lattice_coordinates(stride, width))
+    cy = data.draw(lattice_coordinates(stride, height))
+    most = max(level.width * level.height for level in grid.levels)
+    k = data.draw(st.one_of(st.sampled_from([1, 2, 3, 4, 9]), st.integers(1, most + 2)))
+    gt = GroundTruth(normalize_obb(cx, cy, 12.0, 5.0, 0.3))
+    assert np.array_equal(select_candidates(grid, gt, k), brute_force_candidates(grid, gt, k))
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_overlapping_anchors_equal_full_scan(data):
+    # anchor edges lie on whole pixels for these strides and multipliers, so
+    # integer-pixel gt edges often touch them exactly
+    grid, (width, height) = data.draw(lattices())
+    edges = st.one_of(st.integers(-40, max(width, height) + 40), st.integers(-10**6, 10**6))
+    x0, x1 = sorted(data.draw(st.lists(edges, min_size=2, max_size=2, unique=True)))
+    y0, y1 = sorted(data.draw(st.lists(edges, min_size=2, max_size=2, unique=True)))
+    theta = data.draw(st.sampled_from([0.0, QP, 2 * QP]))
+    box = normalize_obb((x0 + x1) / 2, (y0 + y1) / 2, x1 - x0, y1 - y0, theta)
+    assert np.array_equal(_overlapping_anchor_indices(grid, box), brute_force_overlaps(grid, box))
 
 
 class TestAssignMas:
