@@ -257,11 +257,15 @@ def select_candidates(grid: AnchorGrid, gt: GroundTruth, k: int) -> np.ndarray:
     for level, lattice in enumerate(grid.levels):
         col = _cell(gx / lattice.stride, lattice.width)
         row = _cell(gy / lattice.stride, lattice.height)
+        across = (
+            _closest_line_d2(col, lattice.width, gx, lattice.stride),
+            _closest_line_d2(row, lattice.height, gy, lattice.stride),
+        )
         r = radius
         while True:
             cols = (max(col - r, 0), min(col + r, lattice.width - 1))
             rows = (max(row - r, 0), min(row + r, lattice.height - 1))
-            outside = _outside_distance(lattice, cols, rows, gx, gy)
+            outside = _outside_distance(lattice, cols, rows, gx, gy, across)
             idx = grid.window(level, cols, rows)
             if idx.size >= k or outside == math.inf:
                 centers = grid.centers[idx]
@@ -280,21 +284,34 @@ def _cell(x: float, n: int) -> int:
     return int(min(n - 1, max(0.0, x)))
 
 
-def _outside_distance(lattice: AnchorLevel, cols, rows, gx: float, gy: float) -> float:
+def _outside_distance(lattice: AnchorLevel, cols, rows, gx: float, gy: float, across) -> float:
     """Lower bound on the squared center distance of every cell outside the
-    window: that of the nearest column or row just outside it, rounded as
-    the distances are. The window holds the gt's cell, so those lines lie
-    between the gt and every cell beyond them. Infinite for a window that
-    covers the level."""
-    nearest = [math.inf]
-    for lo, hi, n, g in ((*cols, lattice.width, gx), (*rows, lattice.height, gy)):
+    window, rounded as the distances are: that of the nearest column (row)
+    just outside it plus ``across``, the smallest squared distance along the
+    other axis over the whole level (as from `_line_d2`). The window holds
+    the gt's cell, so those lines lie between the gt and every cell beyond
+    them. Infinite for a window that covers the level."""
+    bounds = [math.inf]
+    for (lo, hi), n, g, other in ((cols, lattice.width, gx, across[1]), (rows, lattice.height, gy, across[0])):
         if lo > 0:
-            d = (lo - 1 + 0.5) * lattice.stride - g
-            nearest.append(d * d)
+            bounds.append(_line_d2(lo - 1, g, lattice.stride) + other)
         if hi < n - 1:
-            d = (hi + 1 + 0.5) * lattice.stride - g
-            nearest.append(d * d)
-    return min(nearest)
+            bounds.append(_line_d2(hi + 1, g, lattice.stride) + other)
+    return min(bounds)
+
+
+def _closest_line_d2(cell: int, n: int, g: float, stride: float) -> float:
+    """Smallest `_line_d2` from ``g`` over all ``n`` lines; ``cell`` is the
+    clamped cell holding ``g``, and the nearest line centre is its own or a
+    neighbour's."""
+    return min(_line_d2(i, g, stride) for i in range(max(cell - 1, 0), min(cell + 2, n)))
+
+
+def _line_d2(line: int, g: float, stride: float) -> float:
+    """Squared distance from ``g`` to the centre of column (row) ``line``,
+    rounded as the anchor distances are."""
+    d = (line + 0.5) * stride - g
+    return d * d
 
 
 def iou_statistics(candidate_ious) -> tuple[float, float, float]:

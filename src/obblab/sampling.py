@@ -3,7 +3,14 @@
 A box is shrunk about its center, nine sampling points are read off the
 shrunk box (center, corners, edge midpoints), normalized offsets nudge the
 points, and the refined points are converted into a per-tap offset field
-for a 3x3 deformable convolution read via bilinear interpolation.
+for a 3x3 deformable convolution read via bilinear interpolation with
+zero padding, as in deformable convolution (Dai et al., 2017) and DCNv2.
+
+Every bilinear read goes through one NumPy kernel over an array of points
+x channels: a deformable sample is one kernel call for its 9 taps, and a
+single read is the one-point case. The kernel performs the float operations
+of a scalar read loop in the same order, so each read and each deformable
+sum is bit-identical to that loop, sign of zero included.
 
 Offset fields are plain inputs here; no learning happens in this module.
 All functions are pure over immutable grids and can run in parallel across
@@ -61,12 +68,28 @@ class DcnOffsetField:
 
     ``offsets[i]`` belongs to tap ``REGULAR_TAPS[i]``; pattern points are
     routed to taps by ``PATTERN_TAP_ORDER``. ``stride`` records the
-    image-to-feature scaling that produced the field.
+    image-to-feature scaling that produced the field. Construction requires
+    9 x 2 finite offsets, a finite p0 and a positive finite stride, and
+    raises ``ValueError`` otherwise.
     """
 
     offsets: np.ndarray
     p0: tuple[float, float]
     stride: float
+
+    def __post_init__(self) -> None:
+        offsets = np.asarray(self.offsets, dtype=float)
+        if offsets.shape != (len(REGULAR_TAPS), 2):
+            raise ValueError(f"expected {len(REGULAR_TAPS)} (dx, dy) tap offsets, got shape {offsets.shape}")
+        if not np.isfinite(offsets).all():
+            raise ValueError("tap offsets must be finite")
+        if len(self.p0) != 2 or not all(math.isfinite(v) for v in self.p0):
+            raise ValueError("p0 must be a finite (x, y) pair")
+        if not 0.0 < self.stride < math.inf:
+            raise ValueError("stride must be positive and finite")
+        object.__setattr__(self, "offsets", offsets)
+        object.__setattr__(self, "p0", (float(self.p0[0]), float(self.p0[1])))
+        object.__setattr__(self, "stride", float(self.stride))
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,6 +105,8 @@ class FeatureGrid:
             values = values[:, :, None]
         if values.ndim != 3:
             raise ValueError("feature grid must be 2-D or 3-D")
+        if values.size == 0:
+            raise ValueError("feature grid must hold at least one cell and channel")
         if not np.all(np.isfinite(values)):
             raise ValueError("feature grid contains non-finite values")
         object.__setattr__(self, "values", values)
@@ -182,27 +207,46 @@ def dcn_offset_field(refined: np.ndarray, p0: tuple[float, float], stride: float
         raise ValueError("stride must be positive")
     taps = np.array(REGULAR_TAPS, dtype=float)
     offsets = pts[list(PATTERN_TAP_ORDER)] / stride - np.asarray(p0, dtype=float) - taps
-    return DcnOffsetField(offsets=offsets, p0=(float(p0[0]), float(p0[1])), stride=float(stride))
+    return DcnOffsetField(offsets=offsets, p0=p0, stride=stride)
+
+
+_TAPS = np.array(REGULAR_TAPS, dtype=float)
+_NEIGHBOURS = np.array([[0.0], [1.0]])  # cell steps to the lower and upper neighbour
+
+
+def _bilinear(values: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Bilinear reads of every channel of (H, W, C) ``values`` at (P, 2)
+    finite fractional (x, y) cell coordinates; a (P, C) array.
+
+    Each read is (((t00 + t01) + t10) + t11) + 0.0, where tab = (wy_a *
+    wx_b) * value at row y0 + a and column x0 + b, and a neighbour outside
+    the grid has weight 0. A zero-weight term adds a zero, so these are the
+    float operations of a scalar loop that skips such terms and starts from
+    +0.0: every read is bit-identical to it, sign of zero included.
+    """
+    height, width = values.shape[:2]
+    axes = points.T  # (axis, P)
+    lo = np.floor(axes)
+    frac = axes - lo
+    weights = np.array([1.0 - frac, frac]).transpose(1, 0, 2)  # (axis, neighbour, P)
+    cells = lo[:, None, :] + _NEIGHBOURS
+    # Clamped before the cast, so that far-away cells stay in int range; a
+    # cell that the clamp moved lies outside and weighs 0.
+    clamped = np.minimum(np.maximum(cells, 0.0), np.array([[[width - 1.0]], [[height - 1.0]]]))
+    weights = np.where(clamped == cells, weights, 0.0)
+    index = clamped.astype(np.intp)
+    reads = values[index[1, :, None], index[0, None, :]]  # (y neighbour, x neighbour, P, C)
+    terms = (weights[1, :, None] * weights[0, None, :])[..., None] * reads
+    return terms[0, 0] + terms[0, 1] + terms[1, 0] + terms[1, 1] + 0.0
 
 
 def bilinear_sample(grid: FeatureGrid, x: float, y: float, channel: int = 0) -> float:
     """Bilinear interpolation of the four neighbors at fractional cell
-    coordinates; positions outside the grid read as zero."""
-    x0 = math.floor(x)
-    y0 = math.floor(y)
-    fx = x - x0
-    fy = y - y0
-    values = grid.values
-    height, width = values.shape[0], values.shape[1]
-    acc = 0.0
-    for iy, wy in ((y0, 1.0 - fy), (y0 + 1, fy)):
-        if wy == 0.0 or not 0 <= iy < height:
-            continue
-        for ix, wx in ((x0, 1.0 - fx), (x0 + 1, fx)):
-            if wx == 0.0 or not 0 <= ix < width:
-                continue
-            acc += wy * wx * values[iy, ix, channel]
-    return float(acc)
+    coordinates; positions outside the grid read as zero. Raises
+    ``ValueError`` for a non-finite x or y."""
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise ValueError("sample position must be finite")
+    return float(_bilinear(grid.values, np.array([[x, y]], dtype=float))[0, channel])
 
 
 def deformable_sample(
@@ -217,22 +261,22 @@ def deformable_sample(
     interpolation; weights of shape (3, 3) apply to every channel, shape
     (3, 3, channels) weights per channel. With an all-zero offset field this
     is a plain 3x3 cross-correlation at p0.
+
+    The 9 x channels reads are one `_bilinear` call. The products of the
+    nonzero weights are summed in sequence, taps outer and channels inner,
+    so the result is bit-identical to a scalar loop over taps and channels
+    that starts from +0.0.
     """
     w = np.asarray(weights, dtype=float)
-    if w.ndim == 2:
-        w = np.repeat(w[:, :, None], grid.channels, axis=2)
-    if w.shape != (3, 3, grid.channels):
-        raise ValueError(f"kernel shape {w.shape} does not match 3x3x{grid.channels}")
-    if field.offsets.shape != (len(REGULAR_TAPS), 2):
-        raise ValueError("offset field must carry one offset per kernel tap")
+    if w.shape not in ((3, 3), (3, 3, grid.channels)):
+        raise ValueError(f"kernel shape {w.shape} does not match 3x3 or 3x3x{grid.channels}")
     px, py = float(p0[0]), float(p0[1])
-    acc = 0.0
-    for i, (rx, ry) in enumerate(REGULAR_TAPS):
-        ox, oy = field.offsets[i]
-        sx = px + rx + ox
-        sy = py + ry + oy
-        for c in range(grid.channels):
-            wt = w[ry + 1, rx + 1, c]
-            if wt != 0.0:
-                acc += wt * bilinear_sample(grid, sx, sy, c)
-    return acc
+    if not (math.isfinite(px) and math.isfinite(py)):
+        raise ValueError("p0 must be finite")
+    points = (np.array([px, py]) + _TAPS) + field.offsets
+    w = w.reshape(len(REGULAR_TAPS), -1)  # taps in REGULAR_TAPS order
+    products = np.where(w != 0.0, w * _bilinear(grid.values, points), 0.0)
+    # np.add.accumulate adds in sequence, where np.sum adds pairwise; the
+    # + 0.0 turns the -0.0 of an all-(-0.0) sum into the +0.0 a sum
+    # started from +0.0 gives.
+    return float(np.add.accumulate(products.ravel())[-1]) + 0.0

@@ -314,6 +314,27 @@ def test_select_candidates_equals_full_stable_sort(data):
     assert np.array_equal(select_candidates(grid, gt, k), brute_force_candidates(grid, gt, k))
 
 
+@pytest.mark.parametrize("center", [(-1e6, -1e6), (1e6 + 4096, -1e6), (-1e6, 1e6 + 4096)])
+def test_far_outside_centre_searches_a_small_window(monkeypatch, center):
+    # the bound on cells outside the window adds the nearest distance along
+    # the other axis, so a centre 1e6 px off a corner of the image stops the
+    # window near that corner instead of growing it to the whole level
+    grid = generate_anchors(4096, [8, 16, 32, 64, 128], 4)
+    gt = GroundTruth(normalize_obb(*center, 20.0, 10.0, 0.3))
+    sizes = []
+    window = AnchorGrid.window
+
+    def spy(self, level, cols, rows):
+        idx = window(self, level, cols, rows)
+        sizes.append(idx.size)
+        return idx
+
+    monkeypatch.setattr(AnchorGrid, "window", spy)
+    picked = select_candidates(grid, gt, 9)
+    assert max(sizes) <= 49
+    assert np.array_equal(picked, brute_force_candidates(grid, gt, 9))
+
+
 @given(data=st.data())
 @settings(max_examples=300, deadline=None)
 def test_overlapping_anchors_equal_full_scan(data):

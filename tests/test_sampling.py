@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from obblab.geometry import contains_points, normalize_obb
 from obblab.sampling import (
@@ -20,6 +21,113 @@ from obblab.sampling import (
 )
 
 QP = math.pi / 4.0
+
+
+def scalar_bilinear_sample(grid, x, y, channel=0):
+    """The scalar read that the vectorised kernel replaced, kept verbatim as
+    the bit-identity oracle."""
+    x0 = math.floor(x)
+    y0 = math.floor(y)
+    fx = x - x0
+    fy = y - y0
+    values = grid.values
+    height, width = values.shape[0], values.shape[1]
+    acc = 0.0
+    for iy, wy in ((y0, 1.0 - fy), (y0 + 1, fy)):
+        if wy == 0.0 or not 0 <= iy < height:
+            continue
+        for ix, wx in ((x0, 1.0 - fx), (x0 + 1, fx)):
+            if wx == 0.0 or not 0 <= ix < width:
+                continue
+            acc += wy * wx * values[iy, ix, channel]
+    return float(acc)
+
+
+def scalar_deformable_sample(grid, weights, p0, field):
+    """The scalar deformable sample that the vectorised kernel replaced,
+    kept verbatim (reading through `scalar_bilinear_sample`) as the
+    bit-identity oracle."""
+    w = np.asarray(weights, dtype=float)
+    if w.ndim == 2:
+        w = np.repeat(w[:, :, None], grid.channels, axis=2)
+    if w.shape != (3, 3, grid.channels):
+        raise ValueError(f"kernel shape {w.shape} does not match 3x3x{grid.channels}")
+    if field.offsets.shape != (len(REGULAR_TAPS), 2):
+        raise ValueError("offset field must carry one offset per kernel tap")
+    px, py = float(p0[0]), float(p0[1])
+    acc = 0.0
+    for i, (rx, ry) in enumerate(REGULAR_TAPS):
+        ox, oy = field.offsets[i]
+        sx = px + rx + ox
+        sy = py + ry + oy
+        for c in range(grid.channels):
+            wt = w[ry + 1, rx + 1, c]
+            if wt != 0.0:
+                acc += wt * scalar_bilinear_sample(grid, sx, sy, c)
+    return acc
+
+
+def assert_bit_identical(got, want):
+    assert type(got) is float
+    assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want), (got, want)
+
+
+# Offsets and positions: whole cells, half cells, random, +-1e300, and a
+# hair below zero, where x - floor(x) rounds to 1.0.
+EXTREMES = [1e300, -1e300, 1e-20, -1e-20, -0.0, 1e16 + 2.0]
+OFFSETS = st.one_of(
+    st.integers(-6, 6).map(float),
+    st.integers(-12, 12).map(lambda n: n / 2.0),
+    st.floats(-6.0, 6.0, allow_nan=False),
+    st.sampled_from(EXTREMES),
+)
+
+
+@st.composite
+def offset_arrays(draw):
+    """(9, 2) offsets, each entry of a kind drawn per array from whole
+    cells, half cells, uniform in [-6, 6] and EXTREMES."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = draw(st.lists(st.sampled_from(["whole", "half", "uniform", "extreme"]), min_size=1, max_size=4))
+    choices = {
+        "whole": rng.integers(-6, 7, size=(9, 2)).astype(float),
+        "half": rng.integers(-12, 13, size=(9, 2)) / 2.0,
+        "uniform": rng.uniform(-6.0, 6.0, size=(9, 2)),
+        "extreme": rng.choice(EXTREMES, size=(9, 2)),
+    }
+    pick = rng.integers(0, len(kinds), size=(9, 2))
+    return np.choose(pick, [choices[kind] for kind in kinds])
+
+
+@st.composite
+def seeded_arrays(draw, shape, scale):
+    """Normal values, or all zeros of one sign, or normal values with a
+    drawn share of +0.0 and -0.0 entries (generated from a drawn seed, which
+    is much faster than drawing each entry)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mode = draw(st.sampled_from(["normal", "zeros", "-zeros", "mixed"]))
+    if mode in ("zeros", "-zeros"):
+        return np.full(shape, 0.0 if mode == "zeros" else -0.0)
+    values = rng.normal(scale=scale, size=shape)
+    if mode == "mixed":
+        values[rng.random(shape) < 0.3] = 0.0
+        values[rng.random(shape) < 0.3] = -0.0
+    return values
+
+
+@st.composite
+def feature_grids(draw):
+    shape = (draw(st.integers(1, 6)), draw(st.integers(1, 6)), draw(st.integers(1, 16)))
+    return FeatureGrid(draw(seeded_arrays(shape, 100.0)))
+
+
+@st.composite
+def kernels(draw, channels):
+    return draw(seeded_arrays(draw(st.sampled_from([(3, 3), (3, 3, channels)])), 1.0))
+
+
+def positions(extent):
+    return st.one_of(st.integers(-3, extent + 3).map(float), st.floats(-3.0, extent + 3.0), OFFSETS)
 
 
 def brute_force_bilinear(values, x, y, c):
@@ -188,6 +296,38 @@ class TestDcnOffsetField:
         with pytest.raises(ValueError):
             dcn_offset_field(np.zeros((9, 2)), (0, 0), 0.0)
 
+    @pytest.mark.parametrize(
+        "offsets, p0, stride",
+        [
+            (np.zeros((8, 2)), (0, 0), 1.0),
+            (np.zeros((9, 3)), (0, 0), 1.0),
+            (np.full((9, 2), math.nan), (0, 0), 1.0),
+            (np.full((9, 2), math.inf), (0, 0), 1.0),
+            (np.zeros((9, 2)), (math.nan, 0), 1.0),
+            (np.zeros((9, 2)), (0, -math.inf), 1.0),
+            (np.zeros((9, 2)), (0, 0, 0), 1.0),
+            (np.zeros((9, 2)), (0, 0), 0.0),
+            (np.zeros((9, 2)), (0, 0), -8.0),
+            (np.zeros((9, 2)), (0, 0), math.nan),
+            (np.zeros((9, 2)), (0, 0), math.inf),
+        ],
+    )
+    def test_bad_field_rejected(self, offsets, p0, stride):
+        with pytest.raises(ValueError):
+            DcnOffsetField(offsets=offsets, p0=p0, stride=stride)
+
+    def test_fields_from_non_finite_points_rejected(self):
+        refined = np.zeros((9, 2))
+        refined[3, 0] = math.inf
+        with pytest.raises(ValueError):
+            dcn_offset_field(refined, (0, 0), 8.0)
+
+    def test_fields_hold_floats(self):
+        field = DcnOffsetField(offsets=np.zeros((9, 2), dtype=int), p0=(1, 2), stride=8)
+        assert field.offsets.dtype == float
+        assert field.p0 == (1.0, 2.0) and type(field.p0[0]) is float
+        assert type(field.stride) is float
+
 
 class TestBilinear:
     @pytest.fixture
@@ -218,6 +358,33 @@ class TestBilinear:
     def test_rejects_non_finite_grid(self):
         with pytest.raises(ValueError):
             FeatureGrid(np.array([[0.0, math.nan]]))
+
+    @pytest.mark.parametrize("shape", [(0, 3), (2, 0), (2, 2, 0)])
+    def test_rejects_empty_grid(self, shape):
+        with pytest.raises(ValueError):
+            FeatureGrid(np.zeros(shape))
+
+    @pytest.mark.parametrize("x, y", [(math.nan, 0.5), (0.5, math.inf), (-math.inf, 0.5)])
+    def test_rejects_non_finite_position(self, small_grid, x, y):
+        with pytest.raises(ValueError):
+            bilinear_sample(small_grid, x, y)
+
+    def test_result_is_python_float(self, small_grid):
+        assert type(bilinear_sample(small_grid, 0.25, 0.5)) is float
+        assert type(bilinear_sample(small_grid, -5, -5)) is float
+
+    @given(data=st.data())
+    @settings(max_examples=250, deadline=None)
+    @example(data=None)
+    def test_bit_identical_to_scalar_read(self, data):
+        if data is None:  # all-(-0.0) grid read between cells
+            grid, x, y, channel = FeatureGrid(np.full((2, 2), -0.0)), 0.5, 0.5, 0
+        else:
+            grid = data.draw(feature_grids())
+            x = data.draw(positions(grid.width))
+            y = data.draw(positions(grid.height))
+            channel = data.draw(st.integers(0, grid.channels - 1))
+        assert_bit_identical(bilinear_sample(grid, x, y, channel), scalar_bilinear_sample(grid, x, y, channel))
 
 
 class TestDeformableSample:
@@ -294,3 +461,29 @@ class TestDeformableSample:
         field = DcnOffsetField(offsets=np.zeros((9, 2)), p0=(1, 1), stride=1.0)
         with pytest.raises(ValueError):
             deformable_sample(grid, np.zeros((3, 3, 5)), (1, 1), field)
+
+    @pytest.mark.parametrize("p0", [(math.nan, 1.0), (1.0, math.inf)])
+    def test_rejects_non_finite_p0(self, p0):
+        grid = FeatureGrid(np.zeros((4, 4, 2)))
+        field = DcnOffsetField(offsets=np.zeros((9, 2)), p0=(1, 1), stride=1.0)
+        with pytest.raises(ValueError):
+            deformable_sample(grid, np.ones((3, 3)), p0, field)
+
+    def test_result_is_python_float(self):
+        grid = FeatureGrid(np.ones((4, 4, 2)))
+        field = DcnOffsetField(offsets=np.zeros((9, 2)), p0=(1, 1), stride=1.0)
+        assert type(deformable_sample(grid, np.ones((3, 3)), (1, 1), field)) is float
+        assert type(deformable_sample(grid, np.zeros((3, 3)), (1, 1), field)) is float
+
+    @given(data=st.data())
+    @settings(max_examples=250, deadline=None)
+    def test_bit_identical_to_scalar_loop(self, data):
+        grid = data.draw(feature_grids())
+        weights = data.draw(kernels(grid.channels))
+        offsets = data.draw(offset_arrays())
+        p0 = (data.draw(positions(grid.width)), data.draw(positions(grid.height)))
+        if data.draw(st.booleans()):
+            p0 = (int(min(max(p0[0], -10), 20)), int(min(max(p0[1], -10), 20)))
+        field = DcnOffsetField(offsets=offsets, p0=p0, stride=1.0)
+        got = deformable_sample(grid, weights, p0, field)
+        assert_bit_identical(got, float(scalar_deformable_sample(grid, weights, p0, field)))
