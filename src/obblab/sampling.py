@@ -32,6 +32,7 @@ REGULAR_TAPS: tuple[tuple[int, int], ...] = (
     (-1, 0), (0, 0), (1, 0),
     (-1, 1), (0, 1), (1, 1),
 )
+_TAPS = np.array(REGULAR_TAPS, dtype=float)
 
 # Pattern index feeding each row-major tap: corners go to corner taps,
 # edge midpoints to edge taps, the center to the center tap, so a pattern
@@ -205,12 +206,10 @@ def dcn_offset_field(refined: np.ndarray, p0: tuple[float, float], stride: float
         raise ValueError(f"expected {NUM_PATTERN_POINTS} refined points, got shape {pts.shape}")
     if stride <= 0:
         raise ValueError("stride must be positive")
-    taps = np.array(REGULAR_TAPS, dtype=float)
-    offsets = pts[list(PATTERN_TAP_ORDER)] / stride - np.asarray(p0, dtype=float) - taps
+    offsets = pts[list(PATTERN_TAP_ORDER)] / stride - np.asarray(p0, dtype=float) - _TAPS
     return DcnOffsetField(offsets=offsets, p0=p0, stride=stride)
 
 
-_TAPS = np.array(REGULAR_TAPS, dtype=float)
 _NEIGHBOURS = np.array([[0.0], [1.0]])  # cell steps to the lower and upper neighbour
 
 

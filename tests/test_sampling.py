@@ -101,14 +101,16 @@ def offset_arrays(draw):
 
 @st.composite
 def seeded_arrays(draw, shape, scale):
-    """Normal values, or all zeros of one sign, or normal values with a
-    drawn share of +0.0 and -0.0 entries (generated from a drawn seed, which
-    is much faster than drawing each entry)."""
+    """Normal values, all negative values, all zeros of one sign, or normal
+    values with a drawn share of +0.0 and -0.0 entries (generated from a
+    drawn seed, which is much faster than drawing each entry)."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    mode = draw(st.sampled_from(["normal", "zeros", "-zeros", "mixed"]))
+    mode = draw(st.sampled_from(["normal", "negative", "zeros", "-zeros", "mixed"]))
     if mode in ("zeros", "-zeros"):
         return np.full(shape, 0.0 if mode == "zeros" else -0.0)
     values = rng.normal(scale=scale, size=shape)
+    if mode == "negative":
+        values = -np.abs(values)
     if mode == "mixed":
         values[rng.random(shape) < 0.3] = 0.0
         values[rng.random(shape) < 0.3] = -0.0
@@ -127,7 +129,10 @@ def kernels(draw, channels):
 
 
 def positions(extent):
-    return st.one_of(st.integers(-3, extent + 3).map(float), st.floats(-3.0, extent + 3.0), OFFSETS)
+    # the seeded draws carry full mantissas, where (p + r) + o and
+    # p + (r + o) round apart
+    uniform = st.integers(0, 2**32 - 1).map(lambda seed: float(np.random.default_rng(seed).uniform(-1.0, extent + 1.0)))
+    return st.one_of(st.integers(-3, extent + 3).map(float), st.floats(-3.0, extent + 3.0), uniform, OFFSETS)
 
 
 def brute_force_bilinear(values, x, y, c):
@@ -475,15 +480,30 @@ class TestDeformableSample:
         assert type(deformable_sample(grid, np.ones((3, 3)), (1, 1), field)) is float
         assert type(deformable_sample(grid, np.zeros((3, 3)), (1, 1), field)) is float
 
+    def test_tap_is_added_to_p0_before_the_offset(self):
+        # (1.01 - 1) + 0.01 and 1.01 + (-1 + 0.01) round apart
+        grid = FeatureGrid(np.arange(16.0).reshape(4, 4) / 7.0)
+        weights = np.zeros((3, 3))
+        weights[0, 0] = 1.0  # tap (-1, -1) only
+        offsets = np.zeros((9, 2))
+        offsets[0] = (0.01, 0.01)
+        field = DcnOffsetField(offsets=offsets, p0=(1.01, 1.01), stride=1.0)
+        got = deformable_sample(grid, weights, field.p0, field)
+        assert_bit_identical(got, scalar_deformable_sample(grid, weights, field.p0, field))
+
     @given(data=st.data())
     @settings(max_examples=250, deadline=None)
+    @example(data=None)
     def test_bit_identical_to_scalar_loop(self, data):
-        grid = data.draw(feature_grids())
-        weights = data.draw(kernels(grid.channels))
-        offsets = data.draw(offset_arrays())
-        p0 = (data.draw(positions(grid.width)), data.draw(positions(grid.height)))
-        if data.draw(st.booleans()):
-            p0 = (int(min(max(p0[0], -10), 20)), int(min(max(p0[1], -10), 20)))
+        if data is None:  # negative weights, every read outside: -0.0 products
+            grid, weights, offsets, p0 = FeatureGrid(np.ones((2, 2))), -np.ones((3, 3)), np.zeros((9, 2)), (50, 50)
+        else:
+            grid = data.draw(feature_grids())
+            weights = data.draw(kernels(grid.channels))
+            offsets = data.draw(offset_arrays())
+            p0 = (data.draw(positions(grid.width)), data.draw(positions(grid.height)))
+            if data.draw(st.booleans()):
+                p0 = (int(min(max(p0[0], -10), 20)), int(min(max(p0[1], -10), 20)))
         field = DcnOffsetField(offsets=offsets, p0=p0, stride=1.0)
         got = deformable_sample(grid, weights, p0, field)
         assert_bit_identical(got, float(scalar_deformable_sample(grid, weights, p0, field)))
