@@ -382,6 +382,14 @@ class TestCfsDemoCommand:
             "--box", "8", "8", "4", "2", "0",
         ]) == EXIT_DATA
 
+    def test_empty_grid_is_data_error(self, tmp_path):
+        empty = tmp_path / "empty.txt"
+        empty.write_text("0 2 1\n")
+        assert run_cli([
+            "cfs-demo", "--features", empty, "--out", tmp_path / "o",
+            "--box", "8", "8", "4", "2", "0",
+        ]) == EXIT_DATA
+
     def test_byte_identical_reruns(self, tmp_path, feature_file):
         path, _ = feature_file
         outs = []
