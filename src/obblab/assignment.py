@@ -27,7 +27,7 @@ from .geometry import (
     QUARTER_PI,
     OrientedBox,
     _box_corners,
-    _iou,
+    _ious_against_squares,
     contains_points,
 )
 
@@ -363,14 +363,18 @@ class AssignmentResult:
         return self.gt_index == NEGATIVE
 
 
-def _ious_against_anchors(grid: AnchorGrid, indices: np.ndarray, gt_box: OrientedBox) -> np.ndarray:
-    """Exact IoU between one gt box and the given anchors. The gt is always
-    the polygon being clipped, with no canonical reordering, so a value may
-    differ from :func:`rotated_iou` in the last bit."""
-    anchors = zip(grid.centers[indices].tolist(), grid.sizes[indices].tolist())
-    return np.array(
-        [_iou(gt_box, OrientedBox(cx, cy, size, size, 0.0)) for (cx, cy), size in anchors], dtype=float
-    )
+def _ious_against_anchors(grid: AnchorGrid, candidates: list[np.ndarray], gt_boxes) -> list[np.ndarray]:
+    """Exact IoUs of each gt box against its candidate anchors, for all gts
+    of a scene in one clipping-kernel call, split back per gt. The gt is
+    always the polygon being clipped, with no canonical reordering, so a
+    value may differ from :func:`rotated_iou` in the last bit."""
+    if not candidates:
+        return []
+    sizes = [cand.size for cand in candidates]
+    indices = np.concatenate(candidates)
+    owner = np.repeat(np.arange(len(candidates)), sizes)
+    ious = _ious_against_squares(gt_boxes, owner, grid.centers[indices], grid.sizes[indices])
+    return np.split(ious, np.cumsum(sizes)[:-1])
 
 
 def _overlapping_anchor_indices(grid: AnchorGrid, gt_box: OrientedBox) -> np.ndarray:
@@ -451,22 +455,20 @@ def _assign(grid: AnchorGrid, gts, cfg: MasConfig | MaxIouConfig) -> AssignmentR
     Per gt: the candidate anchors (the k nearest per level for ATSS and MAS,
     the overlapping ones for maxiou), their exact IoUs, a threshold, and
     claims on the candidates whose IoU is nonzero and meets it; ATSS and MAS
-    also apply the center prior. Claims are resolved by IoU, maxiou marks
-    its ignore band, and :func:`_apply_fallback` serves the starved gts."""
+    also apply the center prior. The candidate sets of all gts are
+    collected first, so that their IoUs come from one
+    :func:`_ious_against_anchors` call. Claims are resolved by IoU, maxiou
+    marks its ignore band, and :func:`_apply_fallback` serves the starved
+    gts."""
     adaptive = isinstance(cfg, MasConfig)
     thresholds = np.zeros(len(gts))
-    candidates: list[np.ndarray] = []
-    candidate_ious: list[np.ndarray] = []
-    claims: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []  # (anchors, ious, gts) per gt
-
-    for g, gt in enumerate(gts):
-        if adaptive:
-            cand = select_candidates(grid, gt, cfg.candidate_k)
-        else:
-            cand = _overlapping_anchor_indices(grid, gt.box)
-        ious = _ious_against_anchors(grid, cand, gt.box)
-        candidates.append(cand)
-        candidate_ious.append(ious)
+    if adaptive:
+        candidates = [select_candidates(grid, gt, cfg.candidate_k) for gt in gts]
+    else:
+        candidates = [_overlapping_anchor_indices(grid, gt.box) for gt in gts]
+    candidate_ious = _ious_against_anchors(grid, candidates, [gt.box for gt in gts])
+    claims = []  # (anchors, ious, gts) per gt
+    for g, (gt, cand, ious) in enumerate(zip(gts, candidates, candidate_ious)):
         thresholds[g] = mas_threshold(gt, ious, cfg) if adaptive else cfg.pos_thr
         eligible = (ious >= thresholds[g]) & (ious > 0.0)
         if adaptive and cfg.use_center_prior:

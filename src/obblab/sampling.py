@@ -259,7 +259,9 @@ def deformable_sample(
     Each kernel tap reads the grid at p0 + tap + offset via bilinear
     interpolation; weights of shape (3, 3) apply to every channel, shape
     (3, 3, channels) weights per channel. With an all-zero offset field this
-    is a plain 3x3 cross-correlation at p0.
+    is a plain 3x3 cross-correlation at p0. The field must have been built
+    for this p0 (``field.p0``); a field for another point raises
+    ``ValueError``.
 
     The 9 x channels reads are one `_bilinear` call. The products of the
     nonzero weights are summed in sequence, taps outer and channels inner,
@@ -272,6 +274,8 @@ def deformable_sample(
     px, py = float(p0[0]), float(p0[1])
     if not (math.isfinite(px) and math.isfinite(py)):
         raise ValueError("p0 must be finite")
+    if (px, py) != field.p0:
+        raise ValueError(f"p0 {(px, py)} differs from the p0 {field.p0} the offset field was built for")
     points = (np.array([px, py]) + _TAPS) + field.offsets
     w = w.reshape(len(REGULAR_TAPS), -1)  # taps in REGULAR_TAPS order
     products = np.where(w != 0.0, w * _bilinear(grid.values, points), 0.0)

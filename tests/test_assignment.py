@@ -24,7 +24,7 @@ from obblab.assignment import (
     _ious_against_anchors,
     _overlapping_anchor_indices,
 )
-from obblab.geometry import OrientedBox, _box_corners, normalize_obb, rotated_iou
+from obblab.geometry import OrientedBox, _box_corners, _iou, normalize_obb, rotated_iou
 from obblab.scenes import SceneSpec, generate_scene
 
 QP = math.pi / 4.0
@@ -47,6 +47,26 @@ def gts_near_anchors(draw):
     return normalize_obb(
         anchor.cx + jitter[0], anchor.cy + jitter[1], anchor.w + jitter[2], anchor.h + jitter[3], jitter[4]
     )
+
+
+@st.composite
+def clipping_gts(draw):
+    """The boxes of `gts_near_anchors`, boxes of 1e-6 px on anchor corners,
+    integer-pixel boxes at 0, pi/4 and pi/2, and centres up to 1e6 px
+    outside the image."""
+    kind = draw(st.sampled_from(["near", "tiny", "integer", "far"]))
+    if kind == "near":
+        return draw(gts_near_anchors())
+    if kind == "tiny":
+        # anchor corners lie on multiples of 4 px
+        cx, cy = (4.0 * draw(st.integers(-4, 20)) + draw(st.sampled_from([0.0, 1e-9, -5e-7])) for _ in range(2))
+        return normalize_obb(cx, cy, draw(st.floats(1e-6, 2e-6)), 1e-6, draw(st.floats(-4, 4)))
+    if kind == "integer":
+        cx, cy, w, h = (float(draw(st.integers(lo, hi))) for lo, hi in ((-8, 72), (-8, 72), (1, 80), (1, 80)))
+        return normalize_obb(cx, cy, w, h, draw(st.sampled_from([0.0, QP, 2 * QP])))
+    far = st.one_of(st.floats(-1e6, -100), st.floats(164, 1e6))
+    edges = st.floats(0.5, 3e6)
+    return normalize_obb(draw(far), draw(st.floats(-1e6, 1e6)), draw(edges), draw(edges), draw(st.floats(-4, 4)))
 
 
 def brute_force_candidates(grid, gt, k):
@@ -454,7 +474,7 @@ class TestAssignMaxIou:
         # gt 0 wins it and gt 1 takes its next-best anchor in the next round
         grid = generate_anchors(64, [8], 4)
         box = normalize_obb(28.0, 28.0, 40.0, 8.0, 0.3)
-        contested = int(np.argmax(_ious_against_anchors(grid, np.arange(grid.num_anchors), box)))
+        contested = int(np.argmax(_ious_against_anchors(grid, [np.arange(grid.num_anchors)], [box])[0]))
         result = assign_maxiou(grid, [GroundTruth(box, 1), GroundTruth(box, 2)], 0.5, 0.4)
         assert result.gt_index[contested] == 0
         assert result.positive_counts.tolist() == [1, 1]
@@ -466,8 +486,7 @@ class TestAssignMaxIou:
         every = np.arange(grid.num_anchors)
         strong = GroundTruth(normalize_obb(28.0, 28.0, 40.0, 8.0, 0.0))
         weak = GroundTruth(normalize_obb(28.0, 28.0, 40.0, 6.0, 0.0))
-        strong_ious = _ious_against_anchors(grid, every, strong.box)
-        weak_ious = _ious_against_anchors(grid, every, weak.box)
+        strong_ious, weak_ious = _ious_against_anchors(grid, [every, every], [strong.box, weak.box])
         contested = int(np.argmax(strong_ious))
         assert contested == int(np.argmax(weak_ious))
         assert weak_ious[contested] < strong_ious[contested] < 0.5
@@ -484,7 +503,7 @@ class TestAssignMaxIou:
         # highest IoU 0 >= neg_thr and is ignored
         grid = generate_anchors(64, [8], 4)
         gt = GroundTruth(normalize_obb(28.0, 28.0, 20.0, 10.0, 0.3))
-        ious = _ious_against_anchors(grid, np.arange(grid.num_anchors), gt.box)
+        ious = _ious_against_anchors(grid, [np.arange(grid.num_anchors)], [gt.box])[0]
         assert 0 < np.count_nonzero(ious) < grid.num_anchors
         result = assign_maxiou(grid, [gt], 0.0, 0.0)
         assert np.array_equal(result.gt_index, np.where(ious > 0.0, 0, IGNORE))
@@ -550,10 +569,45 @@ def test_every_overlapping_gt_gets_a_positive(pyramid_grid, assign):
 @example(gt_box=OrientedBox(19.999999999, 4.0, 32.0, 31.999999999, math.pi / 2))
 @settings(max_examples=200, deadline=None)
 def test_anchor_ious_match_rotated_iou(gt_box):
-    ious = _ious_against_anchors(SMALL_GRID, np.arange(SMALL_GRID.num_anchors), gt_box)
+    ious = _ious_against_anchors(SMALL_GRID, [np.arange(SMALL_GRID.num_anchors)], [gt_box])[0]
     assert np.all((ious >= 0.0) & (ious <= 1.0))
     expected = [rotated_iou(gt_box, SMALL_GRID.box(i)) for i in range(SMALL_GRID.num_anchors)]
     np.testing.assert_allclose(ious, expected, rtol=0.0, atol=1e-12)
+
+
+@given(boxes=st.lists(clipping_gts(), min_size=1, max_size=4))
+@example(boxes=[OrientedBox(19.999999999, 4.0, 32.0, 31.999999999, math.pi / 2)])
+@settings(max_examples=200, deadline=None)
+def test_scene_anchor_ious_are_bit_identical_to_the_scalar_clipper(boxes):
+    # one kernel call for the scene, every gt against every anchor; the
+    # int64 view also compares the sign of zero
+    every = np.arange(SMALL_GRID.num_anchors)
+    ious = _ious_against_anchors(SMALL_GRID, [every] * len(boxes), boxes)
+    assert len(ious) == len(boxes)
+    for box, got in zip(boxes, ious):
+        want = np.array([_iou(box, SMALL_GRID.box(i)) for i in range(SMALL_GRID.num_anchors)])
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_scene_without_gts():
+    assert _ious_against_anchors(SMALL_GRID, [], []) == []
+    for assign in (assign_maxiou, assign_atss, assign_mas):
+        result = assign(SMALL_GRID, [])
+        assert np.all(result.gt_index == NEGATIVE)
+        assert result.positive_counts.size == 0
+
+
+def test_gt_with_empty_overlap_set():
+    outside = normalize_obb(5e5, -5e5, 20.0, 10.0, 0.3)
+    inside = normalize_obb(28.0, 28.0, 20.0, 10.0, 0.3)
+    empty = _overlapping_anchor_indices(SMALL_GRID, outside)
+    assert empty.size == 0
+    cand = _overlapping_anchor_indices(SMALL_GRID, inside)
+    ious = _ious_against_anchors(SMALL_GRID, [empty, cand, empty], [outside, inside, outside])
+    assert [v.size for v in ious] == [0, cand.size, 0]
+    assert np.array_equal(ious[1], [_iou(inside, SMALL_GRID.box(int(i))) for i in cand])
+    result = assign_maxiou(SMALL_GRID, [GroundTruth(outside), GroundTruth(inside)])
+    assert result.positive_counts[0] == 0 and result.positive_counts[1] >= 1
 
 
 @given(

@@ -19,6 +19,12 @@ from obblab.geometry import (
     quad_to_obb,
     rotated_iou,
     signed_area,
+    _box_corners,
+    _clip_polygon,
+    _clip_rows,
+    _iou,
+    _ious_against_squares,
+    _merge_close,
 )
 
 QP = math.pi / 4.0
@@ -140,6 +146,14 @@ class TestPolygonConversion:
         corners = obb_to_polygon(box).vertices
         reversed_quad = ConvexQuad.from_points(corners[::-1])
         assert np.array_equal(reversed_quad.vertices, corners)
+
+    def test_tiny_quad_far_from_origin_keeps_its_area(self):
+        box = normalize_obb(
+            1522.1612486779309, 3538.8749814217604, 3.6637828656972564e-07, 1.3644244468897006e-07, -1.4176458154492648
+        )
+        area = obb_to_polygon(box).area
+        assert area > 0.0
+        assert area == pytest.approx(box.w * box.h, rel=1e-6)
 
 
 class TestQuadToObb:
@@ -343,3 +357,105 @@ class TestSmallOps:
     def test_normalize_angle_range(self, theta):
         out = normalize_angle(theta)
         assert -QP <= out < 3 * QP
+
+
+def as_bits(values) -> np.ndarray:
+    """Float bits, so that equality also compares the sign of zero."""
+    return np.asarray(values, dtype=float).reshape(-1).view(np.int64)
+
+
+def batched_clip(subjects, clip):
+    """`_clip_polygon(subject, clip)` of each subject, through `_clip_rows`."""
+    n = len(subjects)
+    count = np.array([len(poly) for poly in subjects])
+    src = np.zeros((2, int(count.max()) + 2, n))
+    for row, poly in enumerate(subjects):
+        src[:, 1 : len(poly) + 1, row] = np.array(poly).T
+        src[:, 0, row] = poly[-1]
+    dst = np.zeros_like(src)
+    start = clip[-1]
+    for end in clip:
+        dst, count = _clip_rows(src, dst, count, *((np.full(n, p[0]), np.full(n, p[1])) for p in (start, end)))
+        src, dst = dst, src
+        start = end
+    return [src[:, 1 : c + 1, row].T.tolist() for row, c in enumerate(count)]
+
+
+class TestBatchedClipping:
+    """The scene-wide clipping kernel against the scalar clipper, bit for bit."""
+
+    def test_rows_in_any_owner_order(self):
+        boxes = [normalize_obb(10, 12, 30, 9, 0.4), normalize_obb(40, 35, 20, 20, 0.1)]
+        owner = np.array([1, 0, 0, 1, 1, 0])
+        centers = np.array([[36.0, 36.0], [4.0, 4.0], [12.0, 12.0], [44.0, 28.0], [200.0, 200.0], [12.0, 12.0]])
+        sides = np.array([32.0, 32.0, 16.0, 32.0, 32.0, 64.0])
+        got = _ious_against_squares(boxes, owner, centers, sides)
+        want = [
+            _iou(boxes[g], OrientedBox(cx, cy, side, side, 0.0))
+            for g, (cx, cy), side in zip(owner.tolist(), centers.tolist(), sides.tolist())
+        ]
+        assert np.array_equal(as_bits(got), as_bits(want))
+
+    def test_disjoint_rows_clip_to_nothing(self):
+        boxes = [normalize_obb(0, 0, 4, 2, 0.3)]
+        centers = np.array([[100.0, 0.0], [0.0, -50.0], [1e6, 1e6]])
+        got = _ious_against_squares(boxes, np.zeros(3, dtype=int), centers, np.full(3, 8.0))
+        assert np.array_equal(as_bits(got), as_bits([0.0, 0.0, 0.0]))
+
+    def test_no_rows(self):
+        got = _ious_against_squares([], np.zeros(0, dtype=int), np.zeros((0, 2)), np.zeros(0))
+        assert got.shape == (0,)
+
+    def test_last_vertex_repeating_the_first_is_popped(self):
+        # the gt's last corner lies 1 ulp inside the square's right edge
+        # x = 36 and its first corner beyond it: the crossing emitted first
+        # lies within rounding of that corner, and the merge pops the corner
+        # off the end, which changes the area's last bits
+        box = OrientedBox(31.22464600690352, 20.0, 10.0, 4.0, -0.1)
+        square = OrientedBox(20.0, 20.0, 32.0, 32.0, 0.0)
+        clipped = _clip_polygon(_box_corners(box), _box_corners(square))
+        merged = _merge_close(clipped)
+        assert merged == clipped[:-1] and clipped[0] != clipped[-1]
+        assert signed_area(merged) != signed_area(clipped)
+        got = _ious_against_squares([box], np.zeros(1, dtype=int), np.array([[20.0, 20.0]]), np.array([32.0]))
+        assert np.array_equal(as_bits(got), as_bits([_iou(box, square)]))
+
+    def test_parallel_crossing_with_zero_denominator(self):
+        # s -> p changes side of the edge (-1, -1) -> (1, 1) by rounding but
+        # runs parallel to it, so denom == 0 and the crossing is skipped
+        s = (-0.6322247779815038, -0.6322247779815037)
+        p = (0.7018840002969372, 0.7018840002969371)
+        clip = [(-1.0, -1.0), (1.0, 1.0), (-1.0, 1.0)]
+        (ex, ey), (cx1, cy1) = (2.0, 2.0), clip[0]
+        assert (ex * (s[1] - cy1) - ey * (s[0] - cx1) >= 0.0) != (ex * (p[1] - cy1) - ey * (p[0] - cx1) >= 0.0)
+        assert ex * (p[1] - s[1]) - ey * (p[0] - s[0]) == 0.0
+        subject = [s, p, (-0.5, 0.5)]
+        want = _clip_polygon(subject, clip)
+        assert len(want) == 3
+        got = batched_clip([subject, subject[::-1]], clip)
+        assert np.array_equal(as_bits(got[0]), as_bits(want))
+        assert np.array_equal(as_bits(got[1]), as_bits(_clip_polygon(subject[::-1], clip)))
+
+    def test_buffer_widens_for_zigzag_polygons(self):
+        # a zigzag crosses each edge of the square many times, so the clipped
+        # polygon outgrows the slots a convex quad needs
+        zigzag = [(-2.0 + 4.0 * (i % 2), 0.25 * i - 1.0) for i in range(9)]
+        clip = [(1.0, -1.0), (1.0, 1.0), (-1.0, 1.0), (-1.0, -1.0)]
+        want = _clip_polygon(zigzag, clip)
+        assert len(want) > len(zigzag) + 2
+        got = batched_clip([zigzag, zigzag[:4]], clip)
+        assert np.array_equal(as_bits(got[0]), as_bits(want))
+        assert np.array_equal(as_bits(got[1]), as_bits(_clip_polygon(zigzag[:4], clip)))
+
+    @given(
+        polygons=st.lists(
+            st.lists(st.tuples(st.floats(-3, 3), st.floats(-3, 3)), min_size=1, max_size=8), min_size=1, max_size=6
+        ),
+        clip_box=BOXES,
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_clip_pass_matches_scalar_on_any_polygons(self, polygons, clip_box):
+        clip = obb_to_polygon(clip_box).vertices.tolist()
+        got = batched_clip(polygons, clip)
+        for poly, rows in zip(polygons, got):
+            assert np.array_equal(as_bits(rows), as_bits(_clip_polygon(poly, clip)))

@@ -474,6 +474,15 @@ class TestDeformableSample:
         with pytest.raises(ValueError):
             deformable_sample(grid, np.ones((3, 3)), p0, field)
 
+    def test_rejects_a_field_built_for_another_p0(self):
+        grid = FeatureGrid(np.ones((4, 4, 2)))
+        field = dcn_offset_field(np.tile([16.0, 8.0], (9, 1)), (1, 1), 8)
+        assert deformable_sample(grid, np.ones((3, 3)), (1.0, 1.0), field) == deformable_sample(
+            grid, np.ones((3, 3)), np.array([1, 1]), field
+        )
+        with pytest.raises(ValueError, match="offset field"):
+            deformable_sample(grid, np.ones((3, 3)), (2, 1), field)
+
     def test_result_is_python_float(self):
         grid = FeatureGrid(np.ones((4, 4, 2)))
         field = DcnOffsetField(offsets=np.zeros((9, 2)), p0=(1, 1), stride=1.0)
