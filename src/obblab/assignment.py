@@ -212,20 +212,16 @@ def angle_weight(theta: float) -> float:
     return 0.5 + math.sin(theta - HALF_PI) ** 2
 
 
-def shape_weight(
+def shape_exponent(
     aspect: float,
     theta: float,
     gamma: float,
     lambda_mode: str = ANGLE_DEPENDENT,
     raw_lambda: bool = False,
 ) -> float:
-    """Threshold modulation factor exp((1.5 - aspect * |lambda|) / gamma).
-
-    Algebraically this is the compensated form Co * exp(-(aspect/gamma) *
-    |lambda|) with Co = exp(1.5/gamma); the single exponent makes the
-    compensation cancel exactly (f == 1.0) at aspect 1.5 with |lambda| = 1.
-    Strictly decreasing in aspect, maximal at the equilibrium angles.
-    """
+    """The exponent (1.5 - aspect * |lambda|) / gamma of :func:`shape_weight`.
+    It orders (aspect, angle) pairs as the weight does, and stays exact in
+    that order where exp over- or underflows."""
     if aspect < 1.0:
         raise ValueError("aspect must be >= 1 (long-edge convention)")
     if gamma <= 0.0:
@@ -238,7 +234,34 @@ def shape_weight(
             lam = abs(lam)
     else:
         raise ValueError(f"unknown lambda_mode {lambda_mode!r}")
-    return math.exp((_REFERENCE_ASPECT - aspect * lam) / gamma)
+    return (_REFERENCE_ASPECT - aspect * lam) / gamma
+
+
+def shape_weight(
+    aspect: float,
+    theta: float,
+    gamma: float,
+    lambda_mode: str = ANGLE_DEPENDENT,
+    raw_lambda: bool = False,
+) -> float:
+    """Threshold modulation factor exp((1.5 - aspect * |lambda|) / gamma).
+
+    Algebraically this is the compensated form Co * exp(-(aspect/gamma) *
+    |lambda|) with Co = exp(1.5/gamma); the single exponent makes the
+    compensation cancel exactly (f == 1.0) at aspect 1.5 with |lambda| = 1.
+    Strictly decreasing in aspect, maximal at the equilibrium angles. A
+    small gamma can push the exponent past the float range: the weight then
+    saturates to inf (and the clamped threshold to its upper bound).
+    """
+    return saturating_exp(shape_exponent(aspect, theta, gamma, lambda_mode, raw_lambda))
+
+
+def saturating_exp(x: float) -> float:
+    """math.exp, with inf instead of an OverflowError past the float range."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
 
 
 def select_candidates(grid: AnchorGrid, gt: GroundTruth, k: int) -> np.ndarray:
@@ -335,7 +358,8 @@ def mas_threshold(gt: GroundTruth, candidate_ious, cfg: MasConfig) -> float:
     else:
         f = shape_weight(gt.aspect, gt.angle, cfg.gamma, cfg.lambda_mode, cfg.raw_lambda)
     lo, hi = cfg.threshold_clamp
-    return min(hi, max(lo, f * init))
+    raw = f * init if init else 0.0  # a saturated f (inf) times 0 would be nan
+    return min(hi, max(lo, raw))
 
 
 @dataclass(frozen=True, eq=False)

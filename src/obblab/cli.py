@@ -37,7 +37,8 @@ from .assignment import (
     assign_mas,
     generate_anchors,
     iou_statistics,
-    shape_weight,
+    saturating_exp,
+    shape_exponent,
 )
 from .geometry import QUARTER_PI, HALF_PI, OrientedBox, normalize_obb, mc_iou_oracle, rotated_iou
 from .losses import (
@@ -368,36 +369,40 @@ def _equilibrium_distance(angles: np.ndarray) -> np.ndarray:
 
 
 def threshold_surface(cfg: RunConfig, gamma: float):
-    """The (aspect, angle) -> (shape weight, threshold) table for one gamma."""
+    """The (aspect, angle) -> (shape weight, threshold) table for one gamma,
+    with the weights' exponents for the self-check."""
     aspects = np.linspace(*cfg.thresholds.aspect_range, cfg.thresholds.aspect_count)
     angles = np.linspace(-QUARTER_PI, 3.0 * QUARTER_PI, cfg.thresholds.angle_count, endpoint=False)
     _, _, init = iou_statistics(cfg.thresholds.candidate_ious)
-    weights = np.empty((len(aspects), len(angles)))
-    for i, aspect in enumerate(aspects):
-        for j, angle in enumerate(angles):
-            weights[i, j] = shape_weight(
-                float(aspect), float(angle), gamma, cfg.mas.lambda_mode, cfg.mas.raw_lambda
-            )
-    pre_clamp = weights * init
+    exponents = np.empty((len(aspects), len(angles)))
+    weights = np.empty_like(exponents)
+    for i, aspect in enumerate(aspects.tolist()):
+        for j, angle in enumerate(angles.tolist()):
+            exponents[i, j] = e = shape_exponent(aspect, angle, gamma, cfg.mas.lambda_mode, cfg.mas.raw_lambda)
+            weights[i, j] = saturating_exp(e)
+    # A saturated (infinite) weight times a zero initial threshold is zero.
+    pre_clamp = weights * init if init else np.zeros_like(weights)
     lo, hi = cfg.mas.threshold_clamp
     clamped = np.clip(pre_clamp, lo, hi)
-    return aspects, angles, weights, pre_clamp, clamped
+    return aspects, angles, exponents, weights, pre_clamp, clamped
 
 
-def verify_threshold_surface(aspects: np.ndarray, angles: np.ndarray, weights: np.ndarray) -> list[str]:
-    """The documented monotonicity relationships, checked on the pre-clamp
-    surface. Returns a list of violation descriptions."""
+def verify_threshold_surface(aspects: np.ndarray, angles: np.ndarray, exponents: np.ndarray) -> list[str]:
+    """The documented monotonicity relationships of the pre-clamp surface,
+    checked on the shape weights' exponents: exp is monotone, and the
+    exponents keep their order where exp saturates to 0 or inf. Returns a
+    list of violation descriptions."""
     problems = []
-    if not np.all(np.diff(weights, axis=0) < 0.0):
+    if not np.all(np.diff(exponents, axis=0) < 0.0):
         problems.append("shape weight is not strictly decreasing in aspect at fixed angle")
     dist = _equilibrium_distance(angles)
     order = np.argsort(dist, kind="stable")
-    reordered = weights[:, order]
+    reordered = exponents[:, order]
     if not np.all(np.diff(reordered, axis=1) <= 1e-12):
         problems.append("shape weight increases with distance from the equilibrium angles")
     nearest = dist <= dist.min() + 1e-12
-    row_max = weights.max(axis=1)
-    if not np.all(np.isclose(weights[:, nearest].max(axis=1), row_max, rtol=0, atol=1e-15)):
+    row_max = exponents.max(axis=1)
+    if not np.all(np.isclose(exponents[:, nearest].max(axis=1), row_max, rtol=0, atol=1e-15)):
         problems.append("per-aspect maximum is not at the equilibrium-nearest angle")
     return problems
 
@@ -407,7 +412,7 @@ def cmd_thresholds(args: argparse.Namespace) -> int:
     out = _out_dir(args)
     all_problems = {}
     for gamma in cfg.gammas:
-        aspects, angles, weights, pre, clamped = threshold_surface(cfg, gamma)
+        aspects, angles, exponents, weights, pre, clamped = threshold_surface(cfg, gamma)
         rows = []
         for i in range(len(aspects)):
             for j in range(len(angles)):
@@ -427,7 +432,7 @@ def cmd_thresholds(args: argparse.Namespace) -> int:
             ("aspect", "angle", "shape_weight", "pre_clamp_threshold", "clamped_threshold"),
             rows,
         )
-        problems = verify_threshold_surface(aspects, angles, weights)
+        problems = verify_threshold_surface(aspects, angles, exponents)
         if problems:
             all_problems[f"{gamma:g}"] = problems
     _write_json(

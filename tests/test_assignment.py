@@ -20,6 +20,7 @@ from obblab.assignment import (
     iou_statistics,
     mas_threshold,
     select_candidates,
+    shape_exponent,
     shape_weight,
     _ious_against_anchors,
     _overlapping_anchor_indices,
@@ -231,6 +232,16 @@ class TestShapeWeight:
         b = shape_weight(4.0, QP, 5.0, lambda_mode=CONSTANT_ONE)
         assert a == b == math.exp((1.5 - 4.0) / 5.0)
 
+    def test_small_gamma_saturates_instead_of_raising(self):
+        # exponent (1.5 - 1.0 * 0.5) / 0.001 = 1000 is past exp's float range
+        assert shape_exponent(1.0, 0.0, 0.001) == pytest.approx(1000.0)
+        assert shape_weight(1.0, 0.0, 0.001) == math.inf
+        assert shape_weight(12.0, QP, 0.001) == 0.0  # underflow keeps its sign
+
+    def test_weight_is_exp_of_exponent(self):
+        for args in ((1.5, QP, 5.0), (4.0, 0.3, 2.0), (7.0, 2.0, 0.5)):
+            assert shape_weight(*args) == math.exp(shape_exponent(*args))
+
     def test_raw_lambda_inverts_aspect_trend_near_equilibrium(self):
         # signed weight is negative left of pi/4, so f grows with aspect
         low = shape_weight(2.0, 0.0, 5.0, raw_lambda=True)
@@ -289,6 +300,13 @@ class TestMasThreshold:
         gt = GroundTruth(normalize_obb(0, 0, 120, 10, QP))
         thr = mas_threshold(gt, [0.0, 0.0, 0.0], MasConfig())
         assert thr == 0.05
+
+    def test_saturated_weight_clamps_without_nan(self):
+        gt = GroundTruth(normalize_obb(0, 0, 10, 10, 0.0))  # aspect 1: f = inf at gamma 0.001
+        cfg = MasConfig(gamma=0.001)
+        assert mas_threshold(gt, [0.3, 0.5, 0.7], cfg) == 0.95
+        # inf * 0 would be nan; a zero initial threshold stays zero
+        assert mas_threshold(gt, [0.0, 0.0, 0.0], cfg) == 0.05
 
 
 class TestSelectCandidates:

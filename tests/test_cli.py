@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -205,6 +206,28 @@ def test_documented_config_keys_load_as_defaults(tmp_path):
     assert cfg.gammas == defaults.gammas
     assert cfg.anchors.strides == (8.0, 16.0, 32.0, 64.0, 128.0)
     assert all(type(s) is float for s in cfg.anchors.strides)
+
+
+class TestSmallGamma:
+    """Gammas so small that the shape weight's exp over- or underflows."""
+
+    @pytest.mark.parametrize("gamma", ["0.001", "0.01"])
+    def test_stats_and_thresholds_succeed(self, tmp_path, small_scene_config, capsys, gamma):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            stats = run_cli(["stats", "--config", small_scene_config, "--gamma", gamma, "--out", tmp_path / "s"])
+            thresholds = run_cli(["thresholds", "--gamma", gamma, "--out", tmp_path / "t"])
+        assert (stats, thresholds) == (EXIT_OK, EXIT_OK)
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        assert "Traceback" not in capsys.readouterr().err
+        summary = json.loads((tmp_path / "t" / "thresholds.json").read_text())
+        assert summary["monotonicity_violations"] == {}
+        _, _, rows = read_csv(tmp_path / "t" / f"thresholds_gamma{float(gamma):g}.csv")
+        weights = [float(r[2]) for r in rows]
+        assert 0.0 in weights  # exp underflows at large aspects
+        if gamma == "0.001":
+            saturated = [float(r[4]) for r in rows if math.isinf(float(r[2]))]
+            assert saturated and set(saturated) == {0.95}
 
 
 class TestLossCheckCommand:

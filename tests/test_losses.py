@@ -3,10 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from obblab.assignment import GroundTruth, MasConfig, assign_mas, generate_anchors
+from obblab.assignment import IGNORE, NEGATIVE, AssignmentResult, GroundTruth, MasConfig, assign_mas, generate_anchors
 from obblab.geometry import normalize_obb
 from obblab.losses import (
+    _BLOCK_ROWS,
     BetaState,
     BoxDelta,
     LossTargets,
@@ -323,6 +325,28 @@ class TestMultiTaskLoss:
         with pytest.raises(ValueError):
             multi_task_loss(assignment, np.zeros((3, 5)), np.zeros((grid.num_anchors, 1)), targets)
 
+    def test_refined_head_shapes_rejected(self, small_assignment):
+        grid, gts, assignment = small_assignment
+        targets = build_loss_targets(grid, gts, assignment)
+        n = grid.num_anchors
+        deltas, cls = np.zeros((n, 5)), np.full((n, 2), 0.5)
+        with pytest.raises(ValueError, match="cls_pred"):
+            multi_task_loss(assignment, deltas, cls, targets, refined_deltas=deltas, refined_cls=cls[:-1])
+        with pytest.raises(ValueError, match="deltas_pred"):
+            multi_task_loss(assignment, deltas, cls, targets, refined_deltas=deltas[:, :4], refined_cls=cls)
+        with pytest.raises(ValueError, match="deltas_pred"):
+            multi_task_loss(assignment, deltas, cls, targets, refined_deltas=deltas[1:], refined_cls=cls)
+
+    @pytest.mark.parametrize("given_part", ["refined_deltas", "refined_cls"])
+    def test_half_refined_head_rejected(self, small_assignment, given_part):
+        grid, gts, assignment = small_assignment
+        targets = build_loss_targets(grid, gts, assignment)
+        n = grid.num_anchors
+        deltas, cls = np.zeros((n, 5)), np.full((n, 2), 0.5)
+        part = {"refined_deltas": deltas, "refined_cls": cls}[given_part]
+        with pytest.raises(ValueError, match="refined head needs both"):
+            multi_task_loss(assignment, deltas, cls, targets, **{given_part: part})
+
     def test_ignore_anchors_excluded_from_cls(self):
         from obblab.assignment import IGNORE, NEGATIVE, AssignmentResult
 
@@ -342,3 +366,163 @@ class TestMultiTaskLoss:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SmoothL1Config(beta=0.0)
+
+
+# ------------------------------------------------- the per-head loss as oracle
+#
+# The reference composition: each head builds its own masks and integer
+# target array and runs the np.where focal form over the gathered scored
+# rows. multi_task_loss, one blocked pass over both heads, must reproduce it
+# bit for bit.
+
+
+def _where_focal(p, t, alpha=0.25, gamma=2.0):
+    p = np.clip(np.asarray(p, dtype=float), 1e-12, 1.0 - 1e-12)
+    t = np.asarray(t)
+    pos = -alpha * (1.0 - p) ** gamma * np.log(p)
+    neg = -(1.0 - alpha) * p**gamma * np.log(1.0 - p)
+    out = np.where(t == 1, pos, neg)
+    return float(out) if out.ndim == 0 else out
+
+
+def _head_terms(assignment, deltas_pred, cls_pred, targets, cfg):
+    num_anchors = assignment.gt_index.shape[0]
+    deltas_pred = np.asarray(deltas_pred, dtype=float)
+    cls_pred = np.asarray(cls_pred, dtype=float)
+    if cls_pred.ndim == 1:
+        cls_pred = cls_pred[:, None]
+    pos = assignment.positive_mask()
+    neg = assignment.negative_mask()
+    norm = max(1, int(np.count_nonzero(pos)))
+    reg_sum = 0.0
+    if np.any(pos):
+        errors = deltas_pred[pos] - targets.deltas[pos]
+        reg_sum = float(np.sum(smooth_l1(errors, cfg.smooth_l1.beta)))
+    num_classes = cls_pred.shape[1]
+    scored = pos | neg
+    cls_targets = np.zeros((num_anchors, num_classes), dtype=int)
+    pos_idx = np.nonzero(pos)[0]
+    cls_targets[pos_idx, np.clip(targets.class_ids[pos_idx], 0, num_classes - 1)] = 1
+    cls_sum = float(
+        np.sum(_where_focal(cls_pred[scored], cls_targets[scored], cfg.focal_alpha, cfg.focal_gamma))
+    )
+    return cfg.lambda_reg * reg_sum / norm, cfg.lambda_cls * cls_sum / norm
+
+
+def _oracle_loss(assignment, heads, targets, cfg):
+    reg_i, cls_i = _head_terms(assignment, *heads[0], targets, cfg)
+    reg = cfg.alpha_init * reg_i
+    cls = cfg.alpha_init * cls_i
+    if len(heads) == 2:
+        reg_r, cls_r = _head_terms(assignment, *heads[1], targets, cfg)
+        reg += cfg.alpha_refined * reg_r
+        cls += cfg.alpha_refined * cls_r
+    return reg, cls, reg + cls
+
+
+GAMMAS = st.sampled_from([0.0, 0.5, 1.5, 2.0, 3.0])
+# Exact 0 and 1 and values beyond the clamp, among uniform probabilities.
+EXTREMES = np.array([0.0, 1.0, 1e-13, 1.0 - 1e-13, 1e-12, 0.5])
+
+
+def _probabilities(rng, shape):
+    p = rng.uniform(0.0, 1.0, size=shape)
+    spots = rng.random(shape) < 0.05
+    p[spots] = rng.choice(EXTREMES, size=int(np.count_nonzero(spots)))
+    return p
+
+
+@st.composite
+def loss_cases(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    many = draw(st.booleans())
+    num_anchors = draw(st.integers(_BLOCK_ROWS + 8, 2 * _BLOCK_ROWS + 40) if many else st.integers(0, 40))
+    pos_frac = draw(st.sampled_from([0.0, 0.02, 0.3, 1.0]))
+    ignore_frac = draw(st.sampled_from([0.0, 0.0, 0.1, 0.6]))
+    u = rng.random(num_anchors)
+    gt_index = np.where(u < pos_frac, rng.integers(0, 3, num_anchors), NEGATIVE)
+    gt_index[(u >= pos_frac) & (rng.random(num_anchors) < ignore_frac)] = IGNORE
+    scored_rows = np.flatnonzero(gt_index != IGNORE)
+    if many and scored_rows.size > _BLOCK_ROWS + 3:
+        # positives on both sides of the first block boundary of scored rows
+        gt_index[scored_rows[_BLOCK_ROWS - 3 : _BLOCK_ROWS + 3]] = 1
+    assignment = AssignmentResult(
+        gt_index=gt_index, thresholds=np.full(3, 0.5), positive_counts=np.zeros(3, dtype=int)
+    )
+    # class ids outside [0, C) are clipped into range by the loss
+    targets = LossTargets(
+        deltas=rng.normal(size=(num_anchors, 5)), class_ids=rng.integers(-3, 20, num_anchors)
+    )
+    heads = []
+    for _ in range(draw(st.integers(1, 2))):
+        num_classes = draw(st.sampled_from([1, 2, 15] if not many else [1, 3]))
+        cls = _probabilities(rng, (num_anchors, num_classes))
+        if num_classes == 1 and draw(st.booleans()):
+            cls = cls[:, 0]
+        heads.append((targets.deltas + rng.normal(0.0, 0.5, size=(num_anchors, 5)), cls))
+    cfg = MultiTaskLossConfig(
+        smooth_l1=SmoothL1Config(beta=draw(st.sampled_from([1.0, 0.11]))),
+        lambda_reg=draw(st.sampled_from([1.0, 0.7])),
+        lambda_cls=draw(st.sampled_from([1.0, 2.3])),
+        alpha_init=draw(st.sampled_from([1.0, 0.6])),
+        alpha_refined=draw(st.sampled_from([1.0, 0.4])),
+        focal_alpha=draw(st.sampled_from([0.25, 0.5, 0.9])),
+        focal_gamma=draw(GAMMAS),
+    )
+    return assignment, heads, targets, cfg
+
+
+@given(case=loss_cases())
+@settings(max_examples=120, deadline=None)
+def test_multi_task_loss_bit_identical_to_per_head_oracle(case):
+    assignment, heads, targets, cfg = case
+    refined = {}
+    if len(heads) == 2:
+        refined = {"refined_deltas": heads[1][0], "refined_cls": heads[1][1]}
+    got = multi_task_loss(assignment, *heads[0], targets, cfg, **refined)
+    assert (got.reg_loss, got.cls_loss, got.total) == _oracle_loss(assignment, heads, targets, cfg)
+    assert got.num_positives == assignment.num_positives
+
+
+def test_block_boundary_inside_positives_bit_identical():
+    rng = np.random.default_rng(5)
+    num_anchors = 2 * _BLOCK_ROWS + 100
+    gt_index = np.full(num_anchors, NEGATIVE)
+    gt_index[rng.random(num_anchors) < 0.2] = IGNORE
+    scored_rows = np.flatnonzero(gt_index != IGNORE)
+    gt_index[scored_rows[_BLOCK_ROWS - 10 : _BLOCK_ROWS + 10]] = 0
+    assignment = AssignmentResult(gt_index=gt_index, thresholds=np.array([0.5]), positive_counts=np.array([20]))
+    targets = LossTargets(deltas=np.zeros((num_anchors, 5)), class_ids=rng.integers(0, 4, num_anchors))
+    heads = [(rng.normal(size=(num_anchors, 5)), _probabilities(rng, (num_anchors, 4))) for _ in range(2)]
+    cfg = MultiTaskLossConfig()
+    got = multi_task_loss(assignment, *heads[0], targets, cfg, refined_deltas=heads[1][0], refined_cls=heads[1][1])
+    assert (got.reg_loss, got.cls_loss, got.total) == _oracle_loss(assignment, heads, targets, cfg)
+
+
+SHAPES = st.sampled_from([(), (1,), (7,), (300,), (3, 4), (40, 15)])
+
+
+@given(
+    shape=SHAPES,
+    seed=st.integers(0, 2**32 - 1),
+    alpha=st.sampled_from([0.25, 0.5, 0.9]),
+    gamma=GAMMAS,
+)
+@settings(max_examples=150, deadline=None)
+def test_focal_loss_bit_identical_to_where_form(shape, seed, alpha, gamma):
+    rng = np.random.default_rng(seed)
+    p = _probabilities(rng, shape)
+    t = rng.integers(0, 3, size=shape)  # 2 is not a positive either
+    if shape == ():
+        p, t = float(p), int(t)
+    got = focal_loss(p, t, alpha, gamma)
+    want = _where_focal(p, t, alpha, gamma)
+    assert type(got) is type(want)
+    assert np.array_equal(np.asarray(got).view(np.int64), np.asarray(want).view(np.int64))
+
+
+def test_focal_loss_broadcasts_like_where_form():
+    p = np.array([[0.2], [0.7]])
+    t = np.array([0, 1, 1])
+    assert np.array_equal(focal_loss(p, t), _where_focal(p, t))
+    assert np.array_equal(focal_loss(0.3, t), _where_focal(0.3, t))
