@@ -41,6 +41,11 @@ CONSTANT_ONE = "constant-one"
 # common object shape; keeps those objects at the unmodulated threshold).
 _REFERENCE_ASPECT = 1.5
 
+# Anchor geometry squares lengths of the order of a stride or an anchor side
+# (squared centre distances, anchor areas); bounding both by 2**508 keeps
+# those squares 2**8 below the float range.
+_MAX_ANCHOR_EXTENT = 2.0**508
+
 
 @dataclass(frozen=True)
 class GroundTruth:
@@ -114,10 +119,12 @@ class AnchorsConfig:
     def __post_init__(self) -> None:
         if not self.strides:
             raise ValueError("at least one stride is required")
-        if any(s <= 0 for s in self.strides) or list(self.strides) != sorted(self.strides):
+        if any(not s > 0 for s in self.strides) or list(self.strides) != sorted(self.strides):
             raise ValueError("strides must be positive and ascending")
-        if self.scale_multiplier <= 0:
+        if not self.scale_multiplier > 0:
             raise ValueError("scale_multiplier must be positive")
+        if not self.strides[-1] * max(1.0, self.scale_multiplier) <= _MAX_ANCHOR_EXTENT:
+            raise ValueError("the largest stride and its anchor side must not exceed 2**508")
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,16 +155,6 @@ class AnchorGrid:
         cx, cy = self.centers[index]
         size = float(self.sizes[index])
         return OrientedBox(float(cx), float(cy), size, size, 0.0)
-
-    def window(self, level: int, cols: tuple[int, int], rows: tuple[int, int]) -> np.ndarray:
-        """Ascending indices of the anchors of ``levels[level]`` whose cell
-        lies in columns cols[0]..cols[1] and rows rows[0]..rows[1]
-        (inclusive, clipped to the level)."""
-        lattice = self.levels[level]
-        col_ids = np.arange(max(cols[0], 0), min(cols[1], lattice.width - 1) + 1)
-        row_ids = np.arange(max(rows[0], 0), min(rows[1], lattice.height - 1) + 1)
-        start = self.level_slices[level].start
-        return (start + row_ids[:, None] * lattice.width + col_ids).ravel()
 
 
 def generate_anchors(
@@ -268,73 +265,48 @@ def select_candidates(grid: AnchorGrid, gt: GroundTruth, k: int) -> np.ndarray:
     """Indices of the k anchors nearest to the gt center, per pyramid level.
 
     Levels holding fewer than k anchors contribute all of them. Distance ties
-    break toward the lower anchor index (stable sort). Each level is searched
-    in a cell window around the gt center, widened until its k-th distance
-    is strictly below that of every cell outside it, so the result equals a
-    stable sort of the whole level."""
+    break toward the lower anchor index (stable sort). A cell's squared
+    distance is ``dx2[col] + dy2[row]``; the k-th smallest sum over the k
+    nearest columns and rows bounds the level's k-th distance, and rounded
+    addition is monotone, so every cell at or under the bound lies in the
+    columns and rows that reach it with the other axis' minimum. A stable
+    sort of that sub-lattice, in row-major order, equals a stable sort of
+    the whole level (kept whole when it holds fewer than k cells), at a
+    cost that grows with the level's side, not its area."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    gx, gy = gt.box.cx, gt.box.cy
-    radius = math.ceil((math.sqrt(k) - 1.0) / 2.0)  # smallest (2r+1)^2 >= k
     picked = []
-    for level, lattice in enumerate(grid.levels):
-        col = _cell(gx / lattice.stride, lattice.width)
-        row = _cell(gy / lattice.stride, lattice.height)
-        across = (
-            _closest_line_d2(col, lattice.width, gx, lattice.stride),
-            _closest_line_d2(row, lattice.height, gy, lattice.stride),
-        )
-        r = radius
-        while True:
-            cols = (max(col - r, 0), min(col + r, lattice.width - 1))
-            rows = (max(row - r, 0), min(row + r, lattice.height - 1))
-            outside = _outside_distance(lattice, cols, rows, gx, gy, across)
-            idx = grid.window(level, cols, rows)
-            if idx.size >= k or outside == math.inf:
-                centers = grid.centers[idx]
-                d2 = (centers[:, 0] - gx) ** 2 + (centers[:, 1] - gy) ** 2
-                order = np.argsort(d2, kind="stable")[:k]
-                if outside == math.inf or d2[order[-1]] < outside:
-                    picked.append(idx[order])
-                    break
-            r = 2 * r or 1
+    for start, lattice, xs, ys in _lattice_axes(grid):
+        dx2 = (xs - gt.box.cx) ** 2
+        dy2 = (ys - gt.box.cy) ** 2
+        near = np.add.outer(_smallest(dy2, k), _smallest(dx2, k))
+        bound = np.partition(near, k - 1, axis=None)[k - 1] if near.size >= k else math.inf
+        cols = np.flatnonzero(dx2 + dy2.min() <= bound)
+        rows = np.flatnonzero(dy2 + dx2.min() <= bound)
+        order = np.argsort(dx2[cols] + dy2[rows, None], axis=None, kind="stable")[:k]
+        picked.append(_cross(start, lattice.width, rows, cols)[order])
     return np.concatenate(picked)
 
 
-def _cell(x: float, n: int) -> int:
-    """Lattice cell holding coordinate ``x``, given in cells, clamped to
-    [0, n - 1]; also safe for coordinates far outside the image."""
-    return int(min(n - 1, max(0.0, x)))
+def _lattice_axes(grid: AnchorGrid):
+    """Per level: the index of its first anchor, the level, and its lattice
+    axes as views of ``grid.centers`` (row 0 gives each column's x, column
+    0 each row's y)."""
+    for lattice, level in zip(grid.levels, grid.level_slices):
+        centers = grid.centers[level]
+        yield level.start, lattice, centers[: lattice.width, 0], centers[:: lattice.width, 1]
 
 
-def _outside_distance(lattice: AnchorLevel, cols, rows, gx: float, gy: float, across) -> float:
-    """Lower bound on the squared center distance of every cell outside the
-    window, rounded as the distances are: that of the nearest column (row)
-    just outside it plus ``across``, the smallest squared distance along the
-    other axis over the whole level (as from `_line_d2`). The window holds
-    the gt's cell, so those lines lie between the gt and every cell beyond
-    them. Infinite for a window that covers the level."""
-    bounds = [math.inf]
-    for (lo, hi), n, g, other in ((cols, lattice.width, gx, across[1]), (rows, lattice.height, gy, across[0])):
-        if lo > 0:
-            bounds.append(_line_d2(lo - 1, g, lattice.stride) + other)
-        if hi < n - 1:
-            bounds.append(_line_d2(hi + 1, g, lattice.stride) + other)
-    return min(bounds)
+def _smallest(values: np.ndarray, k: int) -> np.ndarray:
+    """The k smallest of ``values`` in no particular order (all of them if
+    there are no more than k)."""
+    return values if values.size <= k else np.partition(values, k - 1)[:k]
 
 
-def _closest_line_d2(cell: int, n: int, g: float, stride: float) -> float:
-    """Smallest `_line_d2` from ``g`` over all ``n`` lines; ``cell`` is the
-    clamped cell holding ``g``, and the nearest line centre is its own or a
-    neighbour's."""
-    return min(_line_d2(i, g, stride) for i in range(max(cell - 1, 0), min(cell + 2, n)))
-
-
-def _line_d2(line: int, g: float, stride: float) -> float:
-    """Squared distance from ``g`` to the centre of column (row) ``line``,
-    rounded as the anchor distances are."""
-    d = (line + 0.5) * stride - g
-    return d * d
+def _cross(start: int, width: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Ascending indices of the cells in ``rows`` x ``cols`` (each
+    ascending) of a level whose first anchor is ``start``."""
+    return (start + rows[:, None] * width + cols).ravel()
 
 
 def iou_statistics(candidate_ious) -> tuple[float, float, float]:
@@ -405,26 +377,19 @@ def _overlapping_anchor_indices(grid: AnchorGrid, gt_box: OrientedBox) -> np.nda
     """Anchors whose axis-aligned bounds overlap the gt's bounds; every
     anchor with nonzero IoU is included (anchors are axis-aligned).
 
-    Each level tests only the cell window that the gt's bounds reach,
-    padded by one cell against rounding, so the result, in ascending order,
-    equals the strict test over every anchor."""
+    The x test depends only on the column and the y test only on the row,
+    so each level crosses the columns and the rows that pass: the strict
+    test over every anchor, in ascending order, at a cost that grows with
+    the level's side."""
     corners = np.array(_box_corners(gt_box))
     lo = corners.min(axis=0)
     hi = corners.max(axis=0)
     picked = []
-    for level, lattice in enumerate(grid.levels):
-        s, reach = lattice.stride, 0.5 * lattice.anchor_size
-        # column i overlaps when (lo - reach) / s - 0.5 < i < (hi + reach) / s - 0.5
-        cols, rows = (
-            (_cell((a - reach) / s - 0.5, n), _cell((b + reach) / s - 0.5, n) + 1)
-            for a, b, n in zip(lo.tolist(), hi.tolist(), (lattice.width, lattice.height))
-        )
-        idx = grid.window(level, cols, rows)
-        half = grid.sizes[idx] * 0.5
-        cx = grid.centers[idx, 0]
-        cy = grid.centers[idx, 1]
-        mask = (cx - half < hi[0]) & (cx + half > lo[0]) & (cy - half < hi[1]) & (cy + half > lo[1])
-        picked.append(idx[mask])
+    for start, lattice, xs, ys in _lattice_axes(grid):
+        half = 0.5 * lattice.anchor_size
+        cols = np.flatnonzero((xs - half < hi[0]) & (xs + half > lo[0]))
+        rows = np.flatnonzero((ys - half < hi[1]) & (ys + half > lo[1]))
+        picked.append(_cross(start, lattice.width, rows, cols))
     return np.concatenate(picked)
 
 

@@ -51,7 +51,14 @@ from .losses import (
     smooth_l1_grad,
     update_beta,
 )
-from .sampling import FeatureGrid, dcn_offset_field, deformable_sample, bilinear_sample, sampling_pattern
+from .sampling import (
+    DEFAULT_SHRINK_FACTOR,
+    FeatureGrid,
+    bilinear_sample,
+    dcn_offset_field,
+    deformable_sample,
+    sampling_pattern,
+)
 from .scenes import (
     SceneSpec,
     from_dict,
@@ -72,6 +79,11 @@ STRATEGIES = ("maxiou", "atss", "mas")
 # Deterministic per-iteration spread emulating a proposal population around
 # the scheduled similarity value.
 _BATCH_SPREAD = (0.9, 0.95, 1.0, 1.05, 1.1)
+
+# The beta trajectory's similarity schedule, and the similarity of its
+# "constant" schedule, unless the command line sets them.
+_DEFAULT_SCHEDULE = "improving"
+_DEFAULT_CONSTANT_S = 1.0
 
 
 class ConfigError(ValueError):
@@ -166,24 +178,21 @@ class RunConfig:
 class BinnedStats:
     """Per-bin assignment statistics along one sweep axis."""
 
-    axis: str
     edges: np.ndarray
     gt_count: np.ndarray
     mean_positives: np.ndarray
     zero_positive_gts: np.ndarray
-    strategy: str
 
     def rows(self):
         for i in range(len(self.gt_count)):
-            center = 0.5 * (self.edges[i] + self.edges[i + 1])
-            mean = self.mean_positives[i]
+            lo, hi = self.edges[i], self.edges[i + 1]
             yield (
                 i,
-                float(self.edges[i]),
-                float(self.edges[i + 1]),
-                float(center),
+                float(lo),
+                float(hi),
+                float(0.5 * lo + 0.5 * hi),  # exact halves; lo + hi may overflow
                 int(self.gt_count[i]),
-                float(mean) if not math.isnan(mean) else math.nan,
+                float(self.mean_positives[i]),
                 int(self.zero_positive_gts[i]),
             )
 
@@ -289,7 +298,7 @@ def _assign(strategy: str, grid: AnchorGrid, gts, cfg: RunConfig) -> AssignmentR
     raise ConfigError(f"unknown strategy {strategy!r}")
 
 
-def _bin_stats(axis, values, positives, lo, hi, bins, strategy) -> BinnedStats:
+def _bin_stats(values, positives, lo, hi, bins) -> BinnedStats:
     edges = np.linspace(lo, hi, bins + 1)
     idx = np.clip(np.searchsorted(edges, values, side="right") - 1, 0, bins - 1)
     gt_count = np.bincount(idx, minlength=bins)
@@ -297,14 +306,7 @@ def _bin_stats(axis, values, positives, lo, hi, bins, strategy) -> BinnedStats:
     zeros = np.bincount(idx[np.asarray(positives) == 0], minlength=bins)
     with np.errstate(invalid="ignore"):
         means = np.where(gt_count > 0, totals / np.maximum(gt_count, 1), np.nan)
-    return BinnedStats(
-        axis=axis,
-        edges=edges,
-        gt_count=gt_count,
-        mean_positives=means,
-        zero_positive_gts=zeros,
-        strategy=strategy,
-    )
+    return BinnedStats(edges=edges, gt_count=gt_count, mean_positives=means, zero_positive_gts=zeros)
 
 
 def run_assignment_stats(cfg: RunConfig, strategy: str, base_seed: int):
@@ -320,12 +322,8 @@ def run_assignment_stats(cfg: RunConfig, strategy: str, base_seed: int):
             aspects.append(gt.aspect)
             angles.append(gt.angle)
             positives.append(int(result.positive_counts[g]))
-    aspect_stats = _bin_stats(
-        "aspect", aspects, positives, *cfg.scene.aspect_range, cfg.scene.aspect_bins, strategy
-    )
-    angle_stats = _bin_stats(
-        "angle", angles, positives, *cfg.scene.angle_range, cfg.scene.angle_bins, strategy
-    )
+    aspect_stats = _bin_stats(aspects, positives, *cfg.scene.aspect_range, cfg.scene.aspect_bins)
+    angle_stats = _bin_stats(angles, positives, *cfg.scene.angle_range, cfg.scene.angle_bins)
     totals = {
         "gt_count": len(positives),
         "positives_total": int(np.sum(positives)),
@@ -343,8 +341,7 @@ def _stats_json_block(stats: BinnedStats) -> dict:
     }
 
 
-def cmd_stats(args: argparse.Namespace) -> int:
-    cfg = _apply_overrides(load_run_config(args.config), args)
+def cmd_stats(args: argparse.Namespace, cfg: RunConfig) -> int:
     out = _out_dir(args)
     aspect_stats, angle_stats, totals = run_assignment_stats(cfg, args.strategy, args.seed)
     _write_csv(out / "stats_aspect.csv", "obblab.stats.v1", _STATS_HEADER, aspect_stats.rows())
@@ -407,8 +404,7 @@ def verify_threshold_surface(aspects: np.ndarray, angles: np.ndarray, exponents:
     return problems
 
 
-def cmd_thresholds(args: argparse.Namespace) -> int:
-    cfg = _apply_overrides(load_run_config(args.config), args)
+def cmd_thresholds(args: argparse.Namespace, cfg: RunConfig) -> int:
     out = _out_dir(args)
     all_problems = {}
     for gamma in cfg.gammas:
@@ -499,8 +495,8 @@ def run_beta_trajectory(
     state: BetaState,
     iterations: int,
     tau: float,
-    schedule: str = "improving",
-    constant_s: float = 1.0,
+    schedule: str = _DEFAULT_SCHEDULE,
+    constant_s: float = _DEFAULT_CONSTANT_S,
 ):
     """Drive the adaptive knee with a synthetic proposal-quality schedule.
 
@@ -523,8 +519,7 @@ def run_beta_trajectory(
     return rows, state
 
 
-def cmd_loss_check(args: argparse.Namespace) -> int:
-    cfg = _apply_overrides(load_run_config(args.config), args)
+def cmd_loss_check(args: argparse.Namespace, cfg: RunConfig) -> int:
     out = _out_dir(args)
     loss = cfg.loss_check
     report = gradient_check(args.seed, loss.points, loss.beta, loss.focal_alpha, loss.focal_gamma)
@@ -578,7 +573,7 @@ def _flag_box(values) -> OrientedBox:
         raise ConfigError(exc) from None
 
 
-def cmd_iou(args: argparse.Namespace) -> int:
+def cmd_iou(args: argparse.Namespace, cfg: RunConfig) -> int:
     box_a = _flag_box(args.box[:5])
     box_b = _flag_box(args.box[5:])
     print(f"{rotated_iou(box_a, box_b):.6f}")
@@ -590,8 +585,7 @@ def cmd_iou(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_assign_file(args: argparse.Namespace) -> int:
-    cfg = _apply_overrides(load_run_config(args.config), args)
+def cmd_assign_file(args: argparse.Namespace, cfg: RunConfig) -> int:
     out = _out_dir(args)
     parse_result = parse_dota_file(args.annotations)
     if parse_result.errors:
@@ -690,7 +684,7 @@ def _demo_kernel(kind: str, channels: int, seed: int) -> np.ndarray:
     raise ConfigError(f"unknown kernel {kind!r}")
 
 
-def cmd_cfs_demo(args: argparse.Namespace) -> int:
+def cmd_cfs_demo(args: argparse.Namespace, cfg: RunConfig) -> int:
     out = _out_dir(args)
     grid = load_feature_grid(args.features)
     box = _flag_box(args.box)
@@ -758,8 +752,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_loss = sub.add_parser("loss-check", parents=[common], help="gradient self-checks and beta trajectory")
     p_loss.add_argument("--iterations", type=int, default=None)
     p_loss.add_argument("--tau", type=float, default=None)
-    p_loss.add_argument("--schedule", choices=("improving", "constant"), default="improving")
-    p_loss.add_argument("--constant-s", type=float, default=1.0, help="similarity for --schedule constant")
+    p_loss.add_argument("--schedule", choices=("improving", "constant"), default=_DEFAULT_SCHEDULE)
+    p_loss.add_argument(
+        "--constant-s", type=float, default=_DEFAULT_CONSTANT_S, help="similarity for --schedule constant"
+    )
     p_loss.set_defaults(func=cmd_loss_check)
 
     p_iou = sub.add_parser("iou", parents=[common], help="exact IoU of two boxes (cx cy w h theta, twice)")
@@ -780,7 +776,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_demo.add_argument("--features", required=True, help="feature grid text file")
     p_demo.add_argument("--box", type=float, nargs=5, required=True, metavar=("CX", "CY", "W", "H", "THETA"))
     p_demo.add_argument("--offsets", default=None, help="JSON file with 9 [dx, dy] pairs")
-    p_demo.add_argument("--shrink", type=float, default=0.3)
+    p_demo.add_argument("--shrink", type=float, default=DEFAULT_SHRINK_FACTOR)
     p_demo.add_argument("--stride", type=float, default=8.0)
     p_demo.add_argument("--kernel", choices=("delta", "average", "random"), default="delta")
     p_demo.set_defaults(func=cmd_cfs_demo)
@@ -792,7 +788,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, _apply_overrides(load_run_config(args.config), args))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -171,7 +171,9 @@ def _focal_positives(p, alpha: float, gamma: float):
     return -alpha * (1.0 - p) ** gamma * np.log(p)
 
 
-def focal_loss(p, t, alpha: float = 0.25, gamma: float = 2.0):
+def focal_loss(
+    p, t, alpha: float = MultiTaskLossConfig.focal_alpha, gamma: float = MultiTaskLossConfig.focal_gamma
+):
     """Binary focal loss; ``t`` selects the branch per element.
 
     Positives: -alpha (1-p)^gamma ln p; negatives: -(1-alpha) p^gamma
@@ -189,19 +191,17 @@ def focal_loss(p, t, alpha: float = 0.25, gamma: float = 2.0):
     return float(out) if out.ndim == 0 else out
 
 
-def focal_loss_grad(p, t, alpha: float = 0.25, gamma: float = 2.0):
+def focal_loss_grad(
+    p, t, alpha: float = MultiTaskLossConfig.focal_alpha, gamma: float = MultiTaskLossConfig.focal_gamma
+):
     """Analytic d(focal)/dp, matching :func:`focal_loss` branch for branch."""
     p = np.clip(np.asarray(p, dtype=float), _PROB_EPS, 1.0 - _PROB_EPS)
     t = np.asarray(t)
-    if gamma == 0.0:
-        pos = -alpha / p
-        neg = (1.0 - alpha) / (1.0 - p)
-    else:
-        pos = alpha * gamma * (1.0 - p) ** (gamma - 1.0) * np.log(p) - alpha * (1.0 - p) ** gamma / p
-        neg = (
-            -(1.0 - alpha) * gamma * p ** (gamma - 1.0) * np.log(1.0 - p)
-            + (1.0 - alpha) * p**gamma / (1.0 - p)
-        )
+    pos = alpha * gamma * (1.0 - p) ** (gamma - 1.0) * np.log(p) - alpha * (1.0 - p) ** gamma / p
+    neg = (
+        -(1.0 - alpha) * gamma * p ** (gamma - 1.0) * np.log(1.0 - p)
+        + (1.0 - alpha) * p**gamma / (1.0 - p)
+    )
     out = np.where(t == 1, pos, neg)
     return float(out) if out.ndim == 0 else out
 

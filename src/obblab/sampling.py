@@ -41,6 +41,9 @@ PATTERN_TAP_ORDER: tuple[int, ...] = (3, 8, 4, 7, 0, 5, 2, 6, 1)
 
 NUM_PATTERN_POINTS = 9
 
+# Fraction by which a box's edges shrink before its points are placed.
+DEFAULT_SHRINK_FACTOR = 0.3
+
 
 @dataclass(frozen=True)
 class OffsetPair:
@@ -180,7 +183,7 @@ def refine_positions(points: np.ndarray, box: OrientedBox, offsets) -> np.ndarra
     return pts + arr * np.array([box.w, box.h])
 
 
-def sampling_pattern(box: OrientedBox, offsets=None, shrink_factor: float = 0.3) -> SamplingPattern:
+def sampling_pattern(box: OrientedBox, offsets=None, shrink_factor: float = DEFAULT_SHRINK_FACTOR) -> SamplingPattern:
     """Shrink, place the nine points, refine with the given offsets (zeros
     when omitted). Offset scaling uses the original box dimensions."""
     initial = initial_sampling_positions(shrink_obb(box, shrink_factor))

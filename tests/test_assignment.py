@@ -8,7 +8,6 @@ from obblab.assignment import (
     CONSTANT_ONE,
     IGNORE,
     NEGATIVE,
-    AnchorGrid,
     AnchorsConfig,
     GroundTruth,
     MasConfig,
@@ -103,10 +102,14 @@ def lattices(draw):
 @st.composite
 def lattice_coordinates(draw, stride, extent):
     """On an anchor center or a cell edge of the level of ``stride``, exactly
-    or 1e-9 off, or anywhere up to 1e6 px outside the image."""
-    kind = draw(st.sampled_from(["center", "edge", "far"]))
+    or 1e-9 off, anywhere up to 1e6 px outside the image, or 1e9 to 1e15 px
+    outside it, where the other axis' squared distance swamps the steps
+    between cells after rounding, so that whole columns or rows tie."""
+    kind = draw(st.sampled_from(["center", "edge", "far", "farther"]))
     if kind == "far":
         return draw(st.floats(-1e6, extent + 1e6))
+    if kind == "farther":
+        return draw(st.one_of(st.floats(-1e15, -1e9), st.floats(extent + 1e9, 1e15)))
     cell = draw(st.integers(-2, math.ceil(extent / stride) + 2))
     return (cell + (0.5 if kind == "center" else 0.0)) * stride + draw(st.sampled_from([0.0, 0.0, -1e-9, 1e-9]))
 
@@ -165,14 +168,9 @@ class TestGenerateAnchors:
             generate_anchors(64, [16, 8])
         with pytest.raises(ValueError):
             generate_anchors(64, [8], -1)
-
-    def test_window_is_clipped_and_ascending(self):
-        grid = generate_anchors((40, 24), [8, 16], 4)  # 5 x 3 and 3 x 2 cells
-        cells = np.floor(grid.centers / [[8.0, 8.0]]).astype(int)
-        got = grid.window(0, (-1, 1), (2, 7))
-        assert got.tolist() == [10, 11]
-        assert cells[got].tolist() == [[0, 2], [1, 2]]
-        assert grid.window(1, (1, 9), (0, 1)).tolist() == [16, 17, 19, 20]
+        for strides, multiplier in (([math.nan], 4), ([8], math.nan), ([math.inf], 4), ([8, 2.0**509], 1)):
+            with pytest.raises(ValueError):
+                generate_anchors(64, strides, multiplier)
 
     def test_anchor_boxes_are_normalized_squares(self, pyramid_grid):
         box = pyramid_grid.box(0)
@@ -354,23 +352,42 @@ def test_select_candidates_equals_full_stable_sort(data):
 
 @pytest.mark.parametrize("center", [(-1e6, -1e6), (1e6 + 4096, -1e6), (-1e6, 1e6 + 4096)])
 def test_far_outside_centre_searches_a_small_window(monkeypatch, center):
-    # the bound on cells outside the window adds the nearest distance along
-    # the other axis, so a centre 1e6 px off a corner of the image stops the
-    # window near that corner instead of growing it to the whole level
+    # the column (row) cut adds the smallest squared distance along the
+    # other axis, so a centre 1e6 px off a corner of the image sorts a few
+    # cells near that corner instead of whole columns or rows of the level
     grid = generate_anchors(4096, [8, 16, 32, 64, 128], 4)
     gt = GroundTruth(normalize_obb(*center, 20.0, 10.0, 0.3))
+    expected = brute_force_candidates(grid, gt, 9)
     sizes = []
-    window = AnchorGrid.window
+    argsort = np.argsort
 
-    def spy(self, level, cols, rows):
-        idx = window(self, level, cols, rows)
-        sizes.append(idx.size)
-        return idx
+    def spy(a, *args, **kwargs):
+        sizes.append(np.size(a))
+        return argsort(a, *args, **kwargs)
 
-    monkeypatch.setattr(AnchorGrid, "window", spy)
+    monkeypatch.setattr(np, "argsort", spy)
     picked = select_candidates(grid, gt, 9)
-    assert max(sizes) <= 49
-    assert np.array_equal(picked, brute_force_candidates(grid, gt, 9))
+    assert len(sizes) == len(grid.levels)
+    assert max(sizes) <= (9 + 1) ** 2
+    assert np.array_equal(picked, expected)
+
+
+@pytest.mark.parametrize("offset", [1e9, 1e11, 1e13, 1e15])
+@pytest.mark.parametrize("axis", [0, 1])
+def test_swamped_axis_ties_whole_lines(offset, axis):
+    # a centre this far out along one axis adds a squared distance whose
+    # rounding swallows the steps between cells along the other axis, so
+    # neighbouring columns (rows) tie and the stable sort decides
+    grid = generate_anchors((600, 400), [8, 32], 4)
+    center = [300.3, 200.7]
+    center[axis] = -offset
+    gt = GroundTruth(normalize_obb(*center, 12.0, 5.0, 0.3))
+    level = grid.centers[grid.level_slices[0]]
+    nearest_line = level[level[:, axis] == 4.0]
+    d2 = (nearest_line[:, 0] - center[0]) ** 2 + (nearest_line[:, 1] - center[1]) ** 2
+    assert np.unique(d2).size < d2.size
+    for k in (1, 9, 100):
+        assert np.array_equal(select_candidates(grid, gt, k), brute_force_candidates(grid, gt, k))
 
 
 @given(data=st.data())
@@ -379,7 +396,9 @@ def test_overlapping_anchors_equal_full_scan(data):
     # anchor edges lie on whole pixels for these strides and multipliers, so
     # integer-pixel gt edges often touch them exactly
     grid, (width, height) = data.draw(lattices())
-    edges = st.one_of(st.integers(-40, max(width, height) + 40), st.integers(-10**6, 10**6))
+    edges = st.one_of(
+        st.integers(-40, max(width, height) + 40), st.integers(-10**6, 10**6), st.integers(-10**15, 10**15)
+    )
     x0, x1 = sorted(data.draw(st.lists(edges, min_size=2, max_size=2, unique=True)))
     y0, y1 = sorted(data.draw(st.lists(edges, min_size=2, max_size=2, unique=True)))
     theta = data.draw(st.sampled_from([0.0, QP, 2 * QP]))

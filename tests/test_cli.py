@@ -12,6 +12,7 @@ from obblab.cli import (
     EXIT_DATA,
     EXIT_OK,
     EXIT_SELFCHECK,
+    STRATEGIES,
     RunConfig,
     load_run_config,
     main,
@@ -120,6 +121,67 @@ class TestStatsCommand:
         with pytest.raises(SystemExit) as excinfo:
             run_cli(["stats", "--strategy", "bogus", "--out", tmp_path / "o"])
         assert excinfo.value.code == 2
+
+
+def subcommand_argv(tmp_path, command):
+    """A valid command line for each subcommand, up to its --config."""
+    features = tmp_path / "features.txt"
+    features.write_text("2 2 1\n0.0 1.0\n2.0 3.0\n")
+    annotations = tmp_path / "annotations.txt"
+    annotations.write_text("")
+    return {
+        "stats": ["stats", "--scenes", "1"],
+        "thresholds": ["thresholds"],
+        "loss-check": ["loss-check", "--iterations", "2"],
+        "iou": ["iou", "0", "0", "1", "1", "0", "0", "0", "1", "1", "0"],
+        "assign-file": ["assign-file", annotations],
+        "cfs-demo": ["cfs-demo", "--features", features, "--box", "1", "1", "1", "1", "0"],
+    }[command] + ["--out", tmp_path / "o"]
+
+
+@pytest.mark.parametrize("command", ["stats", "thresholds", "loss-check", "iou", "assign-file", "cfs-demo"])
+@pytest.mark.parametrize("config", [{}, None, {"bogus": 1}], ids=["valid", "missing", "unknown-key"])
+def test_every_subcommand_reads_its_config(tmp_path, capsys, command, config):
+    path = tmp_path / "config.json"
+    if config is not None:
+        path.write_text(json.dumps(config))
+    code = run_cli([*subcommand_argv(tmp_path, command), "--config", path])
+    if config == {}:
+        assert code == EXIT_OK
+    else:
+        assert code == EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "multiplier, largest",
+    [pytest.param(4.0, 2.0**506, id="side-bound"), pytest.param(0.25, 2.0**508, id="stride-bound")],
+)
+def test_largest_stride_runs_clean_and_the_next_is_rejected(tmp_path, capsys, multiplier, largest):
+    # the bound keeps the squared stride and anchor side 2**8 below the
+    # float range; 2**512 or more overflowed in the distances and areas
+    def stats(stride, strategy):
+        path = tmp_path / "config.json"
+        path.write_text(
+            json.dumps({"anchors": {"strides": [stride], "scale_multiplier": multiplier}, "stats": {"scenes": 1}})
+        )
+        return run_cli(["stats", "--config", path, "--strategy", strategy, "--out", tmp_path / "o"])
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert [stats(largest, strategy) for strategy in STRATEGIES] == [EXIT_OK] * 3
+        assert stats(math.nextafter(largest, math.inf), "mas") == EXIT_CONFIG
+    assert "anchors: the largest stride and its anchor side must not exceed 2**508" in capsys.readouterr().err
+
+
+def test_aspect_range_near_the_float_maximum_bins_without_overflow(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"scene": {"aspect_range": [1, 1e308]}, "stats": {"scenes": 1}}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(["stats", "--config", path, "--out", tmp_path / "o"]) == EXIT_OK
+    _, _, rows = read_csv(tmp_path / "o" / "stats_aspect.csv")
+    assert all(math.isfinite(float(row[3])) for row in rows)
 
 
 class TestThresholdsCommand:

@@ -156,6 +156,16 @@ class TestFocalLoss:
         p = 0.4
         assert focal_loss_grad(p, 1, alpha=0.5, gamma=0.0) == pytest.approx(-0.5 / p)
 
+    @pytest.mark.parametrize("alpha", [0.0, 0.25, 0.7, 1.0])
+    @pytest.mark.parametrize("shape", [(), (257,), (16, 9)])
+    def test_gamma_zero_gradient_is_weighted_cross_entropy_bit_for_bit(self, alpha, shape):
+        rng = np.random.default_rng(17)
+        p = rng.uniform(0.001, 0.999, shape)
+        t = rng.integers(0, 2, shape)
+        expected = np.where(t == 1, -alpha / p, (1.0 - alpha) / (1.0 - p))
+        got = focal_loss_grad(p, t, alpha=alpha, gamma=0.0)
+        assert np.asarray(got).tobytes() == expected.tobytes()
+
 
 class TestScaleSimilarity:
     def test_equal_areas(self):
