@@ -24,6 +24,7 @@ import numpy as np
 
 from .geometry import (
     HALF_PI,
+    MAX_EXTENT,
     QUARTER_PI,
     OrientedBox,
     _box_corners,
@@ -40,11 +41,6 @@ CONSTANT_ONE = "constant-one"
 # Aspect ratio at which the shape weight compensates to exactly 1 (the most
 # common object shape; keeps those objects at the unmodulated threshold).
 _REFERENCE_ASPECT = 1.5
-
-# Anchor geometry squares lengths of the order of a stride or an anchor side
-# (squared centre distances, anchor areas); bounding both by 2**508 keeps
-# those squares 2**8 below the float range.
-_MAX_ANCHOR_EXTENT = 2.0**508
 
 
 @dataclass(frozen=True)
@@ -123,8 +119,14 @@ class AnchorsConfig:
             raise ValueError("strides must be positive and ascending")
         if not self.scale_multiplier > 0:
             raise ValueError("scale_multiplier must be positive")
-        if not self.strides[-1] * max(1.0, self.scale_multiplier) <= _MAX_ANCHOR_EXTENT:
+        if not self.strides[-1] * max(1.0, self.scale_multiplier) <= MAX_EXTENT:
             raise ValueError("the largest stride and its anchor side must not exceed 2**508")
+
+    def level_shapes(self, image_size: tuple[int, int]) -> list[tuple[int, int]]:
+        """(columns, rows) of each level over ``image_size``: ceil(extent /
+        stride), so partially covered border cells still receive an anchor."""
+        width, height = image_size
+        return [(math.ceil(width / stride), math.ceil(height / stride)) for stride in self.strides]
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,39 +164,27 @@ def generate_anchors(
     strides: list[float] | tuple[float, ...],
     scale_multiplier: float = AnchorsConfig.scale_multiplier,
 ) -> AnchorGrid:
-    """Lay one square anchor of side stride * scale_multiplier per cell.
-
-    Cell counts are ceil(extent / stride), so partially covered border cells
-    still receive an anchor.
-    """
+    """Lay one square anchor of side stride * scale_multiplier per cell of
+    each level (:meth:`AnchorsConfig.level_shapes`)."""
     if isinstance(image_size, (int, float)):
         image_size = (image_size, image_size)
-    width_px, height_px = image_size
-    if width_px <= 0 or height_px <= 0:
+    if image_size[0] <= 0 or image_size[1] <= 0:
         raise ValueError("image_size must be positive")
-    strides = AnchorsConfig(tuple(float(s) for s in strides), scale_multiplier).strides
-
-    levels = []
+    cfg = AnchorsConfig(tuple(float(s) for s in strides), scale_multiplier)
+    levels = tuple(
+        AnchorLevel(stride, w_cells, h_cells, stride * scale_multiplier)
+        for stride, (w_cells, h_cells) in zip(cfg.strides, cfg.level_shapes(image_size))
+    )
+    bounds = np.cumsum([0] + [level.width * level.height for level in levels]).tolist()
     centers = []
-    sizes = []
-    slices = []
-    start = 0
-    for stride in strides:
-        w_cells = math.ceil(width_px / stride)
-        h_cells = math.ceil(height_px / stride)
-        levels.append(AnchorLevel(stride, w_cells, h_cells, stride * scale_multiplier))
-        ix, iy = np.meshgrid(np.arange(w_cells), np.arange(h_cells))
-        cx = (ix.ravel() + 0.5) * stride
-        cy = (iy.ravel() + 0.5) * stride
-        centers.append(np.stack([cx, cy], axis=1))
-        sizes.append(np.full(w_cells * h_cells, stride * scale_multiplier))
-        slices.append(slice(start, start + w_cells * h_cells))
-        start += w_cells * h_cells
+    for level in levels:
+        ix, iy = np.meshgrid(np.arange(level.width), np.arange(level.height))
+        centers.append(np.stack([(ix.ravel() + 0.5) * level.stride, (iy.ravel() + 0.5) * level.stride], axis=1))
     return AnchorGrid(
-        levels=tuple(levels),
+        levels=levels,
         centers=np.concatenate(centers, axis=0),
-        sizes=np.concatenate(sizes),
-        level_slices=tuple(slices),
+        sizes=np.repeat([level.anchor_size for level in levels], np.diff(bounds)),
+        level_slices=tuple(map(slice, bounds, bounds[1:])),
     )
 
 
@@ -325,13 +315,17 @@ def iou_statistics(candidate_ious) -> tuple[float, float, float]:
 def mas_threshold(gt: GroundTruth, candidate_ious, cfg: MasConfig) -> float:
     """Shape-modulated adaptive threshold, clamped to cfg.threshold_clamp."""
     _, _, init = iou_statistics(candidate_ious)
-    if cfg.unit_weight:
-        f = 1.0
-    else:
-        f = shape_weight(gt.aspect, gt.angle, cfg.gamma, cfg.lambda_mode, cfg.raw_lambda)
-    lo, hi = cfg.threshold_clamp
-    raw = f * init if init else 0.0  # a saturated f (inf) times 0 would be nan
-    return min(hi, max(lo, raw))
+    f = 1.0 if cfg.unit_weight else shape_weight(gt.aspect, gt.angle, cfg.gamma, cfg.lambda_mode, cfg.raw_lambda)
+    return float(clamped_threshold(f, init, cfg.threshold_clamp)[1])
+
+
+def clamped_threshold(f, init: float, clamp: tuple[float, float]):
+    """``f * init`` before and after clamping to ``clamp``, for one shape
+    weight f or an array of them. A zero ``init`` gives 0 (a saturated f of
+    inf times 0 would be nan); a product past the float range gives inf."""
+    with np.errstate(over="ignore"):
+        raw = np.multiply(f, init) if init else np.zeros_like(f)
+    return raw, np.clip(raw, *clamp)
 
 
 @dataclass(frozen=True, eq=False)
@@ -357,20 +351,6 @@ class AssignmentResult:
 
     def negative_mask(self) -> np.ndarray:
         return self.gt_index == NEGATIVE
-
-
-def _ious_against_anchors(grid: AnchorGrid, candidates: list[np.ndarray], gt_boxes) -> list[np.ndarray]:
-    """Exact IoUs of each gt box against its candidate anchors, for all gts
-    of a scene in one clipping-kernel call, split back per gt. The gt is
-    always the polygon being clipped, with no canonical reordering, so a
-    value may differ from :func:`rotated_iou` in the last bit."""
-    if not candidates:
-        return []
-    sizes = [cand.size for cand in candidates]
-    indices = np.concatenate(candidates)
-    owner = np.repeat(np.arange(len(candidates)), sizes)
-    ious = _ious_against_squares(gt_boxes, owner, grid.centers[indices], grid.sizes[indices])
-    return np.split(ious, np.cumsum(sizes)[:-1])
 
 
 def _overlapping_anchor_indices(grid: AnchorGrid, gt_box: OrientedBox) -> np.ndarray:
@@ -403,36 +383,30 @@ def _resolve_claims(gt_index: np.ndarray, anchors: np.ndarray, ious: np.ndarray,
 
 
 def _apply_fallback(
-    gt_index: np.ndarray,
-    candidates: list[np.ndarray],
-    candidate_ious: list[np.ndarray],
+    gt_index: np.ndarray, owner: np.ndarray, anchor: np.ndarray, iou: np.ndarray, num_gts: int
 ) -> np.ndarray:
     """Give every starved gt a positive where it can; return the per-gt
     positive counts.
 
-    Works in rounds. Each gt with no positive claims its best candidate
-    that no round has forced yet: the highest nonzero IoU, ties to the
-    lowest anchor index. The round's claims go through
-    :func:`_resolve_claims`, and each winner is forced positive, even over
-    another gt's claim. A gt that lost its last positive, or lost the
-    contest, claims again in the next round. Forced anchors are never
+    Works in rounds over the (gt, anchor, IoU) rows. Each gt with no
+    positive claims its best row of nonzero IoU whose anchor no round has
+    forced yet: the highest IoU, ties to the lowest anchor index. Only these
+    free rows are sorted, by gt, falling IoU and anchor. The round's claims
+    go through :func:`_resolve_claims`, and each winner is forced positive,
+    even over another gt's claim. A gt that lost its last positive, or lost
+    the contest, claims again in the next round. Forced anchors are never
     claimed again, so the rounds end."""
-    counts = np.bincount(gt_index[gt_index >= 0], minlength=len(candidates))
+    counts = np.bincount(gt_index[gt_index >= 0], minlength=num_gts)
     forced = np.zeros(gt_index.shape, dtype=bool)
     while True:
-        claims = []
-        for g in np.flatnonzero(counts == 0).tolist():
-            free = (candidate_ious[g] > 0.0) & ~forced[candidates[g]]
-            if np.any(free):
-                anchors, ious = candidates[g][free], candidate_ious[g][free]
-                best = np.lexsort((anchors, -ious))[0]
-                claims.append((anchors[best], ious[best], g))
-        if not claims:
+        free = np.flatnonzero((counts[owner] == 0) & (iou > 0.0) & ~forced[anchor])
+        free = free[np.lexsort((anchor[free], -iou[free], owner[free]))]
+        claims = free[np.diff(owner[free], prepend=-1) != 0]  # each starved gt's best free row
+        if not claims.size:
             return counts
-        anchors, ious, gts = (np.array(column) for column in zip(*claims))
-        won = np.unique(anchors)
+        won = np.unique(anchor[claims])
         losers = gt_index[won]
-        _resolve_claims(gt_index, anchors, ious, gts)
+        _resolve_claims(gt_index, anchor[claims], iou[claims], owner[claims])
         counts -= np.bincount(losers[losers >= 0], minlength=counts.size)
         counts += np.bincount(gt_index[won], minlength=counts.size)
         forced[won] = True
@@ -441,38 +415,42 @@ def _apply_fallback(
 def _assign(grid: AnchorGrid, gts, cfg: MasConfig | MaxIouConfig) -> AssignmentResult:
     """The labelling pipeline of all three strategies.
 
-    Per gt: the candidate anchors (the k nearest per level for ATSS and MAS,
-    the overlapping ones for maxiou), their exact IoUs, a threshold, and
-    claims on the candidates whose IoU is nonzero and meets it; ATSS and MAS
-    also apply the center prior. The candidate sets of all gts are
-    collected first, so that their IoUs come from one
-    :func:`_ious_against_anchors` call. Claims are resolved by IoU, maxiou
-    marks its ignore band, and :func:`_apply_fallback` serves the starved
-    gts."""
+    The candidate anchors of every gt (the k nearest per level for ATSS and
+    MAS, the overlapping ones for maxiou) form one table of (gt, anchor,
+    IoU) rows, whose exact IoUs come from one clipping-kernel call. Each gt
+    gets a threshold, and claims its rows whose IoU is nonzero and meets it;
+    ATSS and MAS also apply the center prior. Claims are resolved by IoU,
+    maxiou marks its ignore band, and :func:`_apply_fallback` serves the
+    starved gts from the same table."""
     adaptive = isinstance(cfg, MasConfig)
-    thresholds = np.zeros(len(gts))
     if adaptive:
         candidates = [select_candidates(grid, gt, cfg.candidate_k) for gt in gts]
     else:
         candidates = [_overlapping_anchor_indices(grid, gt.box) for gt in gts]
-    candidate_ious = _ious_against_anchors(grid, candidates, [gt.box for gt in gts])
-    claims = []  # (anchors, ious, gts) per gt
-    for g, (gt, cand, ious) in enumerate(zip(gts, candidates, candidate_ious)):
-        thresholds[g] = mas_threshold(gt, ious, cfg) if adaptive else cfg.pos_thr
-        eligible = (ious >= thresholds[g]) & (ious > 0.0)
-        if adaptive and cfg.use_center_prior:
-            eligible &= contains_points(gt.box, grid.centers[cand])
-        claims.append((cand[eligible], ious[eligible], np.full(np.count_nonzero(eligible), g)))
+    sizes = [cand.size for cand in candidates]
+    anchor = np.concatenate([np.empty(0, dtype=int), *candidates])
+    owner = np.repeat(np.arange(len(gts)), sizes)
+    iou = _ious_against_squares([gt.box for gt in gts], owner, grid.centers[anchor], grid.sizes[anchor])
+    eligible = iou > 0.0
+    if adaptive:
+        thresholds = np.empty(len(gts))
+        bounds = np.cumsum([0, *sizes]).tolist()
+        for g, gt in enumerate(gts):
+            rows = slice(bounds[g], bounds[g + 1])
+            thresholds[g] = mas_threshold(gt, iou[rows], cfg)
+            if cfg.use_center_prior:
+                eligible[rows] &= contains_points(gt.box, grid.centers[anchor[rows]])
+    else:
+        thresholds = np.full(len(gts), cfg.pos_thr)
+    eligible &= iou >= thresholds[owner]
 
     gt_index = np.full(grid.num_anchors, NEGATIVE, dtype=int)
-    if claims:
-        _resolve_claims(gt_index, *(np.concatenate(column) for column in zip(*claims)))
+    _resolve_claims(gt_index, anchor[eligible], iou[eligible], owner[eligible])
     if not adaptive:
         max_iou = np.zeros(grid.num_anchors)
-        for cand, ious in zip(candidates, candidate_ious):
-            max_iou[cand] = np.maximum(max_iou[cand], ious)
+        np.maximum.at(max_iou, anchor, iou)
         gt_index[(max_iou >= cfg.neg_thr) & (gt_index == NEGATIVE)] = IGNORE
-    counts = _apply_fallback(gt_index, candidates, candidate_ious)
+    counts = _apply_fallback(gt_index, owner, anchor, iou, len(gts))
     return AssignmentResult(gt_index=gt_index, thresholds=thresholds, positive_counts=counts)
 
 

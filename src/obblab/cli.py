@@ -35,6 +35,7 @@ from .assignment import (
     assign_atss,
     assign_maxiou,
     assign_mas,
+    clamped_threshold,
     generate_anchors,
     iou_statistics,
     saturating_exp,
@@ -85,6 +86,12 @@ _BATCH_SPREAD = (0.9, 0.95, 1.0, 1.05, 1.1)
 _DEFAULT_SCHEDULE = "improving"
 _DEFAULT_CONSTANT_S = 1.0
 
+# The largest sizes a configuration may ask for, checked before anything is
+# allocated. A 20,000 px image at the default strides has 8.3M anchors.
+MAX_ANCHORS = 10_000_000
+MAX_SURFACE_CELLS = 1_000_000  # thresholds.aspect_count x angle_count
+MAX_CHECK_POINTS = 1_000_000  # loss_check.points
+
 
 class ConfigError(ValueError):
     """Invalid configuration file or flag combination."""
@@ -124,8 +131,8 @@ class ThresholdsConfig:
     gammas: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.aspect_count < 2 or self.angle_count < 2:
-            raise ValueError("threshold grids need at least 2 points per axis")
+        if min(self.aspect_count, self.angle_count) < 2 or self.aspect_count * self.angle_count > MAX_SURFACE_CELLS:
+            raise ValueError(f"threshold grids need at least 2 points per axis and at most {MAX_SURFACE_CELLS} in all")
         if self.aspect_range[0] < 1.0:
             raise ValueError("aspect_range minimum must be >= 1")
         iou_statistics(self.candidate_ious)  # rejects an empty list and values outside [0, 1]
@@ -145,8 +152,8 @@ class LossCheckConfig:
     focal_gamma: float = MultiTaskLossConfig.focal_gamma
 
     def __post_init__(self) -> None:
-        if self.iterations < 1 or self.points < 1 or self.tau <= 0 or self.beta <= 0:
-            raise ValueError("iterations, points, tau and beta must be positive")
+        if self.iterations < 1 or not 1 <= self.points <= MAX_CHECK_POINTS or self.tau <= 0 or self.beta <= 0:
+            raise ValueError(f"iterations, tau and beta must be positive, and points in [1, {MAX_CHECK_POINTS}]")
 
 
 @dataclass(frozen=True)
@@ -167,6 +174,10 @@ class RunConfig:
     thresholds: ThresholdsConfig = ThresholdsConfig()
     beta: BetaState = field(default=BetaState(), metadata={"keys": ("beta_scale", "momentum", "clamp")})
     loss_check: LossCheckConfig = LossCheckConfig()
+
+    def __post_init__(self) -> None:
+        if sum(w * h for w, h in self.anchors.level_shapes(self.scene.image_size)) > MAX_ANCHORS:
+            raise ValueError(f"scene.image_size and anchors.strides give more than {MAX_ANCHORS} anchors")
 
     @property
     def gammas(self) -> tuple[float, ...]:
@@ -377,10 +388,7 @@ def threshold_surface(cfg: RunConfig, gamma: float):
         for j, angle in enumerate(angles.tolist()):
             exponents[i, j] = e = shape_exponent(aspect, angle, gamma, cfg.mas.lambda_mode, cfg.mas.raw_lambda)
             weights[i, j] = saturating_exp(e)
-    # A saturated (infinite) weight times a zero initial threshold is zero.
-    pre_clamp = weights * init if init else np.zeros_like(weights)
-    lo, hi = cfg.mas.threshold_clamp
-    clamped = np.clip(pre_clamp, lo, hi)
+    pre_clamp, clamped = clamped_threshold(weights, init, cfg.mas.threshold_clamp)
     return aspects, angles, exponents, weights, pre_clamp, clamped
 
 

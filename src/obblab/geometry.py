@@ -25,6 +25,10 @@ import numpy as np
 QUARTER_PI = math.pi / 4.0
 HALF_PI = math.pi / 2.0
 
+# Bounds anchor strides and sides and annotation coordinates, so that their
+# squares, and sums of a few squares, stay 2**8 below the float range.
+MAX_EXTENT = 2.0**508
+
 # Quad edges shorter than this (pixels) have no direction.
 _MIN_EDGE = 1e-9
 

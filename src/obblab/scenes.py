@@ -18,6 +18,7 @@ from typing import get_args, get_type_hints
 import numpy as np
 
 from .geometry import (
+    MAX_EXTENT,
     QUARTER_PI,
     ConvexQuad,
     DegenerateQuadError,
@@ -29,6 +30,7 @@ from .assignment import GroundTruth
 
 UNIFORM = "uniform"
 GRID_SWEEP = "grid-sweep"
+MAX_BINS = 100_000  # statistics bins along one axis
 
 
 class SceneGenerationError(ValueError):
@@ -84,8 +86,8 @@ class SceneSpec:
             raise ValueError("scale_range must be positive")
         if self.placement not in (UNIFORM, GRID_SWEEP):
             raise ValueError(f"unknown placement {self.placement!r}")
-        if self.aspect_bins < 1 or self.angle_bins < 1:
-            raise ValueError("bin counts must be >= 1")
+        if not all(1 <= bins <= MAX_BINS for bins in (self.aspect_bins, self.angle_bins)):
+            raise ValueError(f"bin counts must lie in [1, {MAX_BINS}]")
 
 
 @dataclass(frozen=True)
@@ -168,8 +170,8 @@ def parse_dota_line(text: str) -> AnnotationRecord | None:
         coords = tuple(float(t) for t in tokens[:8])
     except ValueError as exc:
         raise DotaParseError(f"non-numeric coordinate: {exc}") from None
-    if not all(math.isfinite(c) for c in coords):
-        raise DotaParseError("non-finite coordinate")
+    if not all(abs(c) <= MAX_EXTENT for c in coords):  # also false for nan
+        raise DotaParseError("coordinate not finite or above 2**508 in magnitude")
     difficult = 0
     if len(tokens) >= 10:
         try:

@@ -4,13 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from obblab import assignment
 from obblab.assignment import (
     CONSTANT_ONE,
     IGNORE,
     NEGATIVE,
     AnchorsConfig,
+    AssignmentResult,
     GroundTruth,
     MasConfig,
+    MaxIouConfig,
     angle_weight,
     assign_atss,
     assign_maxiou,
@@ -21,10 +24,19 @@ from obblab.assignment import (
     select_candidates,
     shape_exponent,
     shape_weight,
-    _ious_against_anchors,
+    _assign,
     _overlapping_anchor_indices,
+    _resolve_claims,
 )
-from obblab.geometry import OrientedBox, _box_corners, _iou, normalize_obb, rotated_iou
+from obblab.geometry import (
+    OrientedBox,
+    _box_corners,
+    _iou,
+    _ious_against_squares,
+    contains_points,
+    normalize_obb,
+    rotated_iou,
+)
 from obblab.scenes import SceneSpec, generate_scene
 
 QP = math.pi / 4.0
@@ -77,6 +89,14 @@ def brute_force_candidates(grid, gt, k):
         d2 = (centers[:, 0] - gt.box.cx) ** 2 + (centers[:, 1] - gt.box.cy) ** 2
         picked.append(np.argsort(d2, kind="stable")[:k] + level_slice.start)
     return np.concatenate(picked)
+
+
+def anchor_ious(grid, boxes):
+    """IoUs of each box against every anchor of ``grid``, one row per box,
+    from one clipping-kernel call."""
+    owner = np.repeat(np.arange(len(boxes)), grid.num_anchors)
+    centers, sides = np.tile(grid.centers, (len(boxes), 1)), np.tile(grid.sizes, len(boxes))
+    return _ious_against_squares(boxes, owner, centers, sides).reshape(len(boxes), grid.num_anchors)
 
 
 def brute_force_overlaps(grid, gt_box):
@@ -511,7 +531,7 @@ class TestAssignMaxIou:
         # gt 0 wins it and gt 1 takes its next-best anchor in the next round
         grid = generate_anchors(64, [8], 4)
         box = normalize_obb(28.0, 28.0, 40.0, 8.0, 0.3)
-        contested = int(np.argmax(_ious_against_anchors(grid, [np.arange(grid.num_anchors)], [box])[0]))
+        contested = int(np.argmax(anchor_ious(grid, [box])[0]))
         result = assign_maxiou(grid, [GroundTruth(box, 1), GroundTruth(box, 2)], 0.5, 0.4)
         assert result.gt_index[contested] == 0
         assert result.positive_counts.tolist() == [1, 1]
@@ -520,10 +540,9 @@ class TestAssignMaxIou:
         # both gts are starved and want the same anchor; the higher IoU wins
         # it, whatever the gt order, and the loser gets its runner-up
         grid = generate_anchors(64, [8], 4)
-        every = np.arange(grid.num_anchors)
         strong = GroundTruth(normalize_obb(28.0, 28.0, 40.0, 8.0, 0.0))
         weak = GroundTruth(normalize_obb(28.0, 28.0, 40.0, 6.0, 0.0))
-        strong_ious, weak_ious = _ious_against_anchors(grid, [every, every], [strong.box, weak.box])
+        strong_ious, weak_ious = anchor_ious(grid, [strong.box, weak.box])
         contested = int(np.argmax(strong_ious))
         assert contested == int(np.argmax(weak_ious))
         assert weak_ious[contested] < strong_ious[contested] < 0.5
@@ -540,7 +559,7 @@ class TestAssignMaxIou:
         # highest IoU 0 >= neg_thr and is ignored
         grid = generate_anchors(64, [8], 4)
         gt = GroundTruth(normalize_obb(28.0, 28.0, 20.0, 10.0, 0.3))
-        ious = _ious_against_anchors(grid, [np.arange(grid.num_anchors)], [gt.box])[0]
+        ious = anchor_ious(grid, [gt.box])[0]
         assert 0 < np.count_nonzero(ious) < grid.num_anchors
         result = assign_maxiou(grid, [gt], 0.0, 0.0)
         assert np.array_equal(result.gt_index, np.where(ious > 0.0, 0, IGNORE))
@@ -606,7 +625,7 @@ def test_every_overlapping_gt_gets_a_positive(pyramid_grid, assign):
 @example(gt_box=OrientedBox(19.999999999, 4.0, 32.0, 31.999999999, math.pi / 2))
 @settings(max_examples=200, deadline=None)
 def test_anchor_ious_match_rotated_iou(gt_box):
-    ious = _ious_against_anchors(SMALL_GRID, [np.arange(SMALL_GRID.num_anchors)], [gt_box])[0]
+    ious = anchor_ious(SMALL_GRID, [gt_box])[0]
     assert np.all((ious >= 0.0) & (ious <= 1.0))
     expected = [rotated_iou(gt_box, SMALL_GRID.box(i)) for i in range(SMALL_GRID.num_anchors)]
     np.testing.assert_allclose(ious, expected, rtol=0.0, atol=1e-12)
@@ -618,8 +637,7 @@ def test_anchor_ious_match_rotated_iou(gt_box):
 def test_scene_anchor_ious_are_bit_identical_to_the_scalar_clipper(boxes):
     # one kernel call for the scene, every gt against every anchor; the
     # int64 view also compares the sign of zero
-    every = np.arange(SMALL_GRID.num_anchors)
-    ious = _ious_against_anchors(SMALL_GRID, [every] * len(boxes), boxes)
+    ious = anchor_ious(SMALL_GRID, boxes)
     assert len(ious) == len(boxes)
     for box, got in zip(boxes, ious):
         want = np.array([_iou(box, SMALL_GRID.box(i)) for i in range(SMALL_GRID.num_anchors)])
@@ -627,7 +645,6 @@ def test_scene_anchor_ious_are_bit_identical_to_the_scalar_clipper(boxes):
 
 
 def test_scene_without_gts():
-    assert _ious_against_anchors(SMALL_GRID, [], []) == []
     for assign in (assign_maxiou, assign_atss, assign_mas):
         result = assign(SMALL_GRID, [])
         assert np.all(result.gt_index == NEGATIVE)
@@ -640,11 +657,135 @@ def test_gt_with_empty_overlap_set():
     empty = _overlapping_anchor_indices(SMALL_GRID, outside)
     assert empty.size == 0
     cand = _overlapping_anchor_indices(SMALL_GRID, inside)
-    ious = _ious_against_anchors(SMALL_GRID, [empty, cand, empty], [outside, inside, outside])
-    assert [v.size for v in ious] == [0, cand.size, 0]
-    assert np.array_equal(ious[1], [_iou(inside, SMALL_GRID.box(int(i))) for i in cand])
+    owner = np.ones(cand.size, dtype=int)
+    ious = _ious_against_squares([outside, inside, outside], owner, SMALL_GRID.centers[cand], SMALL_GRID.sizes[cand])
+    assert ious.shape == (cand.size,)
+    assert np.array_equal(ious, [_iou(inside, SMALL_GRID.box(int(i))) for i in cand])
     result = assign_maxiou(SMALL_GRID, [GroundTruth(outside), GroundTruth(inside)])
     assert result.positive_counts[0] == 0 and result.positive_counts[1] >= 1
+
+
+def reference_fallback(gt_index, candidates, candidate_ious):
+    """The starved-gt fallback over per-gt candidate lists, one Python loop
+    over the starved gts per round: the oracle of the table form."""
+    counts = np.bincount(gt_index[gt_index >= 0], minlength=len(candidates))
+    forced = np.zeros(gt_index.shape, dtype=bool)
+    while True:
+        claims = []
+        for g in np.flatnonzero(counts == 0).tolist():
+            free = (candidate_ious[g] > 0.0) & ~forced[candidates[g]]
+            if np.any(free):
+                anchors, ious = candidates[g][free], candidate_ious[g][free]
+                best = np.lexsort((anchors, -ious))[0]
+                claims.append((anchors[best], ious[best], g))
+        if not claims:
+            return counts
+        anchors, ious, gts = (np.array(column) for column in zip(*claims))
+        won = np.unique(anchors)
+        losers = gt_index[won]
+        _resolve_claims(gt_index, anchors, ious, gts)
+        counts -= np.bincount(losers[losers >= 0], minlength=counts.size)
+        counts += np.bincount(gt_index[won], minlength=counts.size)
+        forced[won] = True
+
+
+def reference_assign(grid, gts, cfg):
+    """The labelling pipeline over per-gt lists of candidates, IoUs and
+    claims, with per-gt loops for the ignore band and the fallback: the
+    oracle of the (gt, anchor, IoU) table in ``_assign``."""
+    adaptive = isinstance(cfg, MasConfig)
+    thresholds = np.zeros(len(gts))
+    if adaptive:
+        candidates = [select_candidates(grid, gt, cfg.candidate_k) for gt in gts]
+    else:
+        candidates = [_overlapping_anchor_indices(grid, gt.box) for gt in gts]
+    candidate_ious = []
+    if candidates:
+        sizes = [cand.size for cand in candidates]
+        indices = np.concatenate(candidates)
+        owner = np.repeat(np.arange(len(candidates)), sizes)
+        ious = _ious_against_squares([gt.box for gt in gts], owner, grid.centers[indices], grid.sizes[indices])
+        candidate_ious = np.split(ious, np.cumsum(sizes)[:-1])
+    claims = []
+    for g, (gt, cand, ious) in enumerate(zip(gts, candidates, candidate_ious)):
+        thresholds[g] = mas_threshold(gt, ious, cfg) if adaptive else cfg.pos_thr
+        eligible = (ious >= thresholds[g]) & (ious > 0.0)
+        if adaptive and cfg.use_center_prior:
+            eligible &= contains_points(gt.box, grid.centers[cand])
+        claims.append((cand[eligible], ious[eligible], np.full(np.count_nonzero(eligible), g)))
+    gt_index = np.full(grid.num_anchors, NEGATIVE, dtype=int)
+    if claims:
+        _resolve_claims(gt_index, *(np.concatenate(column) for column in zip(*claims)))
+    if not adaptive:
+        max_iou = np.zeros(grid.num_anchors)
+        for cand, ious in zip(candidates, candidate_ious):
+            max_iou[cand] = np.maximum(max_iou[cand], ious)
+        gt_index[(max_iou >= cfg.neg_thr) & (gt_index == NEGATIVE)] = IGNORE
+    counts = reference_fallback(gt_index, candidates, candidate_ious)
+    return AssignmentResult(gt_index=gt_index, thresholds=thresholds, positive_counts=counts)
+
+
+CROWDED_GRID = generate_anchors(256, [8, 16, 32, 64, 128], 4)
+
+
+def crowded_gts(seed, count):
+    """``count`` objects of 16-64 px in a 256 px image: starved gts contest
+    anchors, over several fallback rounds."""
+    spec = SceneSpec(image_size=(256, 256), object_count=count, seed=seed, scale_range=(16.0, 64.0))
+    return list(generate_scene(spec).gts)
+
+
+@st.composite
+def crowded_scenes(draw):
+    """`crowded_gts` scenes of 20-60 objects, whose objects may come in up to
+    8 identical copies, which contest the same anchors until their nonzero
+    IoUs run out, plus up to 5 objects on an anchor, whose IoU 1 meets a
+    threshold of 1, and up to 2 far outside the image, whose candidates all
+    have IoU 0."""
+    count = draw(st.integers(20, 60))
+    copies = draw(st.sampled_from([1, 2, 4, 8]))
+    gts = [gt for gt in crowded_gts(draw(st.integers(0, 2**32 - 1)), count // copies) for _ in range(copies)]
+    on_anchors = draw(st.lists(st.integers(0, CROWDED_GRID.num_anchors - 1), max_size=5))
+    outside = [GroundTruth(normalize_obb(5e5, -5e5, 20.0, 10.0, 0.3))] * draw(st.integers(0, 2))
+    return gts + [GroundTruth(CROWDED_GRID.box(i)) for i in on_anchors] + outside
+
+
+@st.composite
+def assignment_configs(draw):
+    """A maxiou config with thresholds that may be 0, or an ATSS or MAS
+    config with any k, centre prior and shape weight."""
+    strategy = draw(st.sampled_from(["maxiou", "atss", "mas"]))
+    if strategy == "maxiou":
+        thr = st.one_of(st.sampled_from([0.0, 0.3, 0.4, 0.5, 1.0]), st.floats(0.0, 1.0))
+        neg_thr, pos_thr = sorted([draw(thr), draw(thr)])
+        return MaxIouConfig(pos_thr, neg_thr)
+    return MasConfig(
+        gamma=draw(st.sampled_from([0.5, 2.0, 5.0])),
+        candidate_k=draw(st.one_of(st.just(1), st.integers(1, 16))),
+        use_center_prior=draw(st.booleans()),
+        unit_weight=strategy == "atss",
+    )
+
+
+@given(gts=crowded_scenes(), cfg=assignment_configs())
+@example(gts=crowded_gts(90034, 40), cfg=MaxIouConfig())
+@example(gts=crowded_gts(90034, 40), cfg=MaxIouConfig(0.0, 0.0))
+@example(gts=[GroundTruth(CROWDED_GRID.box(300))] * 2, cfg=MaxIouConfig(1.0, 0.5))
+@settings(max_examples=100, deadline=None)
+def test_table_pipeline_matches_per_gt_reference(gts, cfg):
+    # int64 views also compare the thresholds' bits
+    got, want = _assign(CROWDED_GRID, gts, cfg), reference_assign(CROWDED_GRID, gts, cfg)
+    for name in ("gt_index", "thresholds", "positive_counts"):
+        assert np.array_equal(getattr(got, name).view(np.int64), getattr(want, name).view(np.int64)), name
+
+
+@STRATEGIES
+def test_crowded_scene_needs_several_fallback_rounds(monkeypatch, assign):
+    # one claim resolution for the thresholds' claims, then one per round
+    calls = []
+    monkeypatch.setattr(assignment, "_resolve_claims", lambda *args: calls.append(_resolve_claims(*args)))
+    assign(CROWDED_GRID, crowded_gts(90034, 40))
+    assert len(calls) - 1 >= 2
 
 
 @given(

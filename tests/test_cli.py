@@ -12,12 +12,18 @@ from obblab.cli import (
     EXIT_DATA,
     EXIT_OK,
     EXIT_SELFCHECK,
+    MAX_ANCHORS,
+    MAX_CHECK_POINTS,
+    MAX_SURFACE_CELLS,
     STRATEGIES,
+    ConfigError,
     RunConfig,
     load_run_config,
     main,
     read_csv,
 )
+from obblab.geometry import MAX_EXTENT
+from obblab.scenes import MAX_BINS
 
 FIXTURE = Path(__file__).parent / "data" / "dota_sample.txt"
 
@@ -184,6 +190,100 @@ def test_aspect_range_near_the_float_maximum_bins_without_overflow(tmp_path):
     assert all(math.isfinite(float(row[3])) for row in rows)
 
 
+@pytest.mark.parametrize(
+    "accepted, rejected, message",
+    [
+        pytest.param(
+            {"anchors": {"strides": [1]}, "scene": {"image_size": [MAX_ANCHORS, 1]}},
+            {"anchors": {"strides": [1]}, "scene": {"image_size": [MAX_ANCHORS + 1, 1]}},
+            f"scene.image_size and anchors.strides give more than {MAX_ANCHORS} anchors",
+            id="anchors",
+        ),
+        pytest.param(
+            {"scene": {"aspect_bins": MAX_BINS, "angle_bins": MAX_BINS}},
+            {"scene": {"aspect_bins": MAX_BINS + 1}},
+            "scene: bin counts must lie in",
+            id="aspect-bins",
+        ),
+        pytest.param(
+            {"scene": {"angle_bins": MAX_BINS}}, {"scene": {"angle_bins": MAX_BINS + 1}},
+            "scene: bin counts must lie in", id="angle-bins",
+        ),
+        pytest.param(
+            {"thresholds": {"aspect_count": MAX_SURFACE_CELLS // 2, "angle_count": 2}},
+            {"thresholds": {"aspect_count": 2, "angle_count": MAX_SURFACE_CELLS // 2 + 1}},
+            "thresholds: threshold grids need at least 2 points per axis and at most", id="surface-cells",
+        ),
+        pytest.param(
+            {"loss_check": {"points": MAX_CHECK_POINTS}}, {"loss_check": {"points": MAX_CHECK_POINTS + 1}},
+            r"loss_check: iterations, tau and beta must be positive, and points in \[1, ", id="check-points",
+        ),
+    ],
+)
+def test_size_caps_hold_at_their_boundary(tmp_path, accepted, rejected, message):
+    # loading a config allocates nothing of the size it asks for
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(accepted))
+    load_run_config(path)
+    path.write_text(json.dumps(rejected))
+    with pytest.raises(ConfigError, match=message):
+        load_run_config(path)
+
+
+def test_a_20000_px_image_fits_the_anchor_cap(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"scene": {"image_size": [20000, 20000]}}))
+    cfg = load_run_config(path)
+    assert 8_300_000 < sum(w * h for w, h in cfg.anchors.level_shapes(cfg.scene.image_size)) <= MAX_ANCHORS
+
+
+@pytest.mark.parametrize(
+    "command, config",
+    [
+        ("stats", {"scene": {"image_size": [1e12, 1e12]}}),
+        ("stats", {"scene": {"aspect_bins": 1e9}}),
+        ("thresholds", {"thresholds": {"aspect_count": 1e9}}),
+        ("loss-check", {"loss_check": {"points": 1e9}}),
+    ],
+)
+def test_sizes_that_cannot_be_allocated_exit_2_before_any_work(tmp_path, capsys, command, config):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert run_cli([command, "--config", path, "--out", tmp_path / "o"]) == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_image_size_flag_hits_the_anchor_cap(tmp_path, capsys):
+    annotations = tmp_path / "annotations.txt"
+    annotations.write_text("")
+    size = str(10**12)
+    assert run_cli(["assign-file", annotations, "--image-size", size, size, "--out", tmp_path / "o"]) == EXIT_CONFIG
+    assert f"give more than {MAX_ANCHORS} anchors" in capsys.readouterr().err
+
+
+def test_largest_annotation_coordinate_runs_clean_and_the_next_is_rejected(tmp_path, capsys):
+    # a square and a diamond spanning [-bound, bound]; their cross products
+    # and squared edges stay finite
+    def assign(bound):
+        b, n = repr(bound), repr(-MAX_EXTENT)
+        path = tmp_path / "annotations.txt"
+        path.write_text(f"{n} {n} {b} {n} {b} {b} {n} {b} plane 0\n{n} 0 0 {n} {b} 0 0 {b} ship 0\n")
+        return run_cli(["assign-file", path, "--out", tmp_path / "o"])
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert assign(MAX_EXTENT) == EXIT_OK
+        assert assign(math.nextafter(MAX_EXTENT, math.inf)) == EXIT_DATA
+        # overflowed in the quad's orientation test before it was rejected
+        (tmp_path / "annotations.txt").write_text("1e160 0 2e160 0 2e160 1e160 1e160 1e160 plane 0\n")
+        assert run_cli(["assign-file", tmp_path / "annotations.txt", "--out", tmp_path / "o"]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "line 1: coordinate not finite or above 2**508 in magnitude" in err
+    assert "line 2: coordinate not finite or above 2**508 in magnitude" in err
+    assert err.count("line 1:") == 2
+
+
 class TestThresholdsCommand:
     def test_surface_files_and_verification(self, tmp_path):
         out = tmp_path / "out"
@@ -290,6 +390,19 @@ class TestSmallGamma:
         if gamma == "0.001":
             saturated = [float(r[4]) for r in rows if math.isinf(float(r[2]))]
             assert saturated and set(saturated) == {0.95}
+
+
+    def test_threshold_past_the_float_range_saturates(self, tmp_path):
+        # at aspect 1 and angle 0 the weight is about 1.7e308, finite, and
+        # an initial threshold above 1 takes the product past the float range
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"thresholds": {"candidate_ious": [0, 1, 1, 1], "aspect_range": [1, 2]}}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(["thresholds", "--config", path, "--gamma", "0.001409", "--out", tmp_path / "t"]) == EXIT_OK
+        _, _, rows = read_csv(tmp_path / "t" / "thresholds_gamma0.001409.csv")
+        first = next(row for row in rows if float(row[0]) == 1.0 and float(row[1]) == 0.0)
+        assert math.isfinite(float(first[2])) and float(first[3]) == math.inf and float(first[4]) == 0.95
 
 
 class TestLossCheckCommand:

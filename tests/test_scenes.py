@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from obblab.geometry import obb_to_polygon
+from obblab.geometry import MAX_EXTENT, obb_to_polygon
 from obblab.scenes import (
     AnnotationRecord,
     DotaParseError,
@@ -107,6 +107,12 @@ class TestParseDotaLine:
     def test_non_numeric_coordinate(self):
         with pytest.raises(DotaParseError):
             parse_dota_line("a b c d e f g h plane 0")
+
+    @pytest.mark.parametrize("value", [math.nextafter(MAX_EXTENT, math.inf), -1e160, math.inf, math.nan])
+    def test_coordinate_beyond_the_bound(self, value):
+        parse_dota_line(f"{MAX_EXTENT!r} 0 1 0 1 1 {-MAX_EXTENT!r} 1 plane")
+        with pytest.raises(DotaParseError, match="coordinate not finite or above 2"):
+            parse_dota_line(f"0 0 1 0 1 {value!r} 0 1 plane")
 
     def test_line_numbers_attached_by_file_parser(self):
         result = parse_dota_lines(["imagesource:x", "1 2 3 plane"])
