@@ -1,8 +1,9 @@
 """Anchor generation and positive/negative label assignment for oriented
 boxes.
 
-Three strategies run one labelling pipeline, with one claim resolver and
-one starved-gt fallback:
+Three strategies run one labelling pipeline over one (gt, anchor, IoU)
+table, with one threshold rule (:func:`adaptive_thresholds`), one claim
+resolver and one starved-gt fallback:
 
 * ``assign_maxiou``  -- fixed thresholds over the anchors a gt overlaps.
 * ``assign_atss``    -- per-gt adaptive threshold mean + std of candidate
@@ -28,8 +29,9 @@ from .geometry import (
     QUARTER_PI,
     OrientedBox,
     _box_corners,
+    _box_frame,
+    _inside_mask,
     _ious_against_squares,
-    contains_points,
 )
 
 NEGATIVE = -1
@@ -301,31 +303,37 @@ def _cross(start: int, width: int, rows: np.ndarray, cols: np.ndarray) -> np.nda
 
 def iou_statistics(candidate_ious) -> tuple[float, float, float]:
     """Mean, population standard deviation, and their sum (the adaptive
-    initial threshold) of a candidate IoU list."""
+    initial threshold) of a candidate IoU list, as floats, or of each row
+    of a table of them, as arrays."""
     ious = np.asarray(candidate_ious, dtype=float)
     if ious.size == 0:
         raise ValueError("no candidate IoUs")
     if np.any(ious < 0.0) or np.any(ious > 1.0):
         raise ValueError("IoU values must lie in [0, 1]")
-    mean = float(ious.mean())
-    std = float(np.sqrt(np.mean((ious - mean) ** 2)))
+    mean = ious.mean(axis=-1)
+    std = np.sqrt(np.mean((ious - mean[..., None]) ** 2, axis=-1))
+    if ious.ndim == 1:
+        mean, std = float(mean), float(std)
     return mean, std, mean + std
 
 
 def mas_threshold(gt: GroundTruth, candidate_ious, cfg: MasConfig) -> float:
     """Shape-modulated adaptive threshold, clamped to cfg.threshold_clamp."""
     _, _, init = iou_statistics(candidate_ious)
-    f = 1.0 if cfg.unit_weight else shape_weight(gt.aspect, gt.angle, cfg.gamma, cfg.lambda_mode, cfg.raw_lambda)
-    return float(clamped_threshold(f, init, cfg.threshold_clamp)[1])
+    return float(adaptive_thresholds([gt.aspect], [gt.angle], init, cfg)[3][0])
 
 
-def clamped_threshold(f, init: float, clamp: tuple[float, float]):
-    """``f * init`` before and after clamping to ``clamp``, for one shape
-    weight f or an array of them. A zero ``init`` gives 0 (a saturated f of
-    inf times 0 would be nan); a product past the float range gives inf."""
+def adaptive_thresholds(aspects, angles, init, cfg: MasConfig):
+    """Per (aspect, angle) pair: the shape exponent (0 under ``unit_weight``,
+    so f = 1), the shape weight f, and ``f * init`` before and after
+    cfg.threshold_clamp, for one initial threshold or one per pair. A zero
+    ``init`` gives 0, not inf * 0 = nan; a product past the float range inf."""
+    shape = (cfg.gamma, cfg.lambda_mode, cfg.raw_lambda)
+    exponents = [0.0 if cfg.unit_weight else shape_exponent(a, t, *shape) for a, t in zip(aspects, angles)]
+    weights = np.array([saturating_exp(e) for e in exponents])
     with np.errstate(over="ignore"):
-        raw = np.multiply(f, init) if init else np.zeros_like(f)
-    return raw, np.clip(raw, *clamp)
+        raw = np.multiply(weights, init, out=np.zeros_like(weights), where=np.not_equal(init, 0.0))
+    return np.array(exponents), weights, raw, np.clip(raw, *cfg.threshold_clamp)
 
 
 @dataclass(frozen=True, eq=False)
@@ -390,23 +398,27 @@ def _apply_fallback(
 
     Works in rounds over the (gt, anchor, IoU) rows. Each gt with no
     positive claims its best row of nonzero IoU whose anchor no round has
-    forced yet: the highest IoU, ties to the lowest anchor index. Only these
-    free rows are sorted, by gt, falling IoU and anchor. The round's claims
-    go through :func:`_resolve_claims`, and each winner is forced positive,
-    even over another gt's claim. A gt that lost its last positive, or lost
-    the contest, claims again in the next round. Forced anchors are never
-    claimed again, so the rounds end."""
+    forced yet: the highest IoU, ties to the lowest anchor index, found
+    without a sort by ``np.maximum.at`` and ``np.minimum.at`` over the free
+    rows. The round's claims go through :func:`_resolve_claims`, and each
+    winner is forced positive, even over another gt's claim. A gt that lost
+    its last positive, or lost the contest, claims again in the next round.
+    Forced anchors are never claimed again, so the rounds end."""
     counts = np.bincount(gt_index[gt_index >= 0], minlength=num_gts)
     forced = np.zeros(gt_index.shape, dtype=bool)
     while True:
         free = np.flatnonzero((counts[owner] == 0) & (iou > 0.0) & ~forced[anchor])
-        free = free[np.lexsort((anchor[free], -iou[free], owner[free]))]
-        claims = free[np.diff(owner[free], prepend=-1) != 0]  # each starved gt's best free row
-        if not claims.size:
+        best = np.zeros(num_gts)  # each gt's best free IoU, 0 if it has no free row
+        np.maximum.at(best, owner[free], iou[free])
+        free = free[iou[free] == best[owner[free]]]
+        lowest = np.full(num_gts, gt_index.size)  # the lowest anchor of that IoU
+        np.minimum.at(lowest, owner[free], anchor[free])
+        claimants = np.flatnonzero(best)
+        if not claimants.size:
             return counts
-        won = np.unique(anchor[claims])
+        won = np.unique(lowest[claimants])
         losers = gt_index[won]
-        _resolve_claims(gt_index, anchor[claims], iou[claims], owner[claims])
+        _resolve_claims(gt_index, lowest[claimants], best[claimants], claimants)
         counts -= np.bincount(losers[losers >= 0], minlength=counts.size)
         counts += np.bincount(gt_index[won], minlength=counts.size)
         forced[won] = True
@@ -417,29 +429,31 @@ def _assign(grid: AnchorGrid, gts, cfg: MasConfig | MaxIouConfig) -> AssignmentR
 
     The candidate anchors of every gt (the k nearest per level for ATSS and
     MAS, the overlapping ones for maxiou) form one table of (gt, anchor,
-    IoU) rows, whose exact IoUs come from one clipping-kernel call. Each gt
-    gets a threshold, and claims its rows whose IoU is nonzero and meets it;
-    ATSS and MAS also apply the center prior. Claims are resolved by IoU,
-    maxiou marks its ignore band, and :func:`_apply_fallback` serves the
-    starved gts from the same table."""
+    IoU) rows, whose exact IoUs come from one clipping-kernel call. ATSS
+    and MAS give every gt as many candidates, so their rows reshape to a
+    (gts, candidates) array, thresholded by :func:`adaptive_thresholds` and
+    center-prior tested by :func:`_inside_mask` in one call each. Each gt
+    claims its rows whose IoU is nonzero and meets its threshold (maxiou:
+    ``pos_thr``). Claims are resolved by IoU, maxiou marks its ignore band,
+    and :func:`_apply_fallback` serves the starved gts from the same table."""
     adaptive = isinstance(cfg, MasConfig)
+    if not gts:  # every anchor's highest IoU is 0, in maxiou's ignore band at neg_thr 0
+        label = NEGATIVE if adaptive or cfg.neg_thr > 0.0 else IGNORE
+        return AssignmentResult(np.full(grid.num_anchors, label, dtype=int), np.empty(0), np.zeros(0, dtype=int))
     if adaptive:
         candidates = [select_candidates(grid, gt, cfg.candidate_k) for gt in gts]
     else:
         candidates = [_overlapping_anchor_indices(grid, gt.box) for gt in gts]
-    sizes = [cand.size for cand in candidates]
-    anchor = np.concatenate([np.empty(0, dtype=int), *candidates])
-    owner = np.repeat(np.arange(len(gts)), sizes)
+    anchor = np.concatenate(candidates)
+    owner = np.repeat(np.arange(len(gts)), [cand.size for cand in candidates])
     iou = _ious_against_squares([gt.box for gt in gts], owner, grid.centers[anchor], grid.sizes[anchor])
     eligible = iou > 0.0
     if adaptive:
-        thresholds = np.empty(len(gts))
-        bounds = np.cumsum([0, *sizes]).tolist()
-        for g, gt in enumerate(gts):
-            rows = slice(bounds[g], bounds[g + 1])
-            thresholds[g] = mas_threshold(gt, iou[rows], cfg)
-            if cfg.use_center_prior:
-                eligible[rows] &= contains_points(gt.box, grid.centers[anchor[rows]])
+        _, _, init = iou_statistics(iou.reshape(len(gts), -1))
+        thresholds = adaptive_thresholds([gt.aspect for gt in gts], [gt.angle for gt in gts], init, cfg)[3]
+        if cfg.use_center_prior:
+            frames = np.array([_box_frame(gt.box) for gt in gts]).T[..., None]  # six (gts, 1) columns
+            eligible &= _inside_mask(frames, *grid.centers[anchor].T.reshape(2, len(gts), -1)).ravel()
     else:
         thresholds = np.full(len(gts), cfg.pos_thr)
     eligible &= iou >= thresholds[owner]

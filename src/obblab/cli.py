@@ -32,14 +32,12 @@ from .assignment import (
     AssignmentResult,
     MasConfig,
     MaxIouConfig,
+    adaptive_thresholds,
     assign_atss,
     assign_maxiou,
     assign_mas,
-    clamped_threshold,
     generate_anchors,
     iou_statistics,
-    saturating_exp,
-    shape_exponent,
 )
 from .geometry import QUARTER_PI, HALF_PI, OrientedBox, normalize_obb, mc_iou_oracle, rotated_iou
 from .losses import (
@@ -382,14 +380,9 @@ def threshold_surface(cfg: RunConfig, gamma: float):
     aspects = np.linspace(*cfg.thresholds.aspect_range, cfg.thresholds.aspect_count)
     angles = np.linspace(-QUARTER_PI, 3.0 * QUARTER_PI, cfg.thresholds.angle_count, endpoint=False)
     _, _, init = iou_statistics(cfg.thresholds.candidate_ious)
-    exponents = np.empty((len(aspects), len(angles)))
-    weights = np.empty_like(exponents)
-    for i, aspect in enumerate(aspects.tolist()):
-        for j, angle in enumerate(angles.tolist()):
-            exponents[i, j] = e = shape_exponent(aspect, angle, gamma, cfg.mas.lambda_mode, cfg.mas.raw_lambda)
-            weights[i, j] = saturating_exp(e)
-    pre_clamp, clamped = clamped_threshold(weights, init, cfg.mas.threshold_clamp)
-    return aspects, angles, exponents, weights, pre_clamp, clamped
+    cells = [cell.ravel().tolist() for cell in np.meshgrid(aspects, angles, indexing="ij")]
+    surfaces = adaptive_thresholds(*cells, init, replace(cfg.mas, gamma=gamma))
+    return (aspects, angles, *(surface.reshape(len(aspects), len(angles)) for surface in surfaces))
 
 
 def verify_threshold_surface(aspects: np.ndarray, angles: np.ndarray, exponents: np.ndarray) -> list[str]:
@@ -416,19 +409,9 @@ def cmd_thresholds(args: argparse.Namespace, cfg: RunConfig) -> int:
     out = _out_dir(args)
     all_problems = {}
     for gamma in cfg.gammas:
-        aspects, angles, exponents, weights, pre, clamped = threshold_surface(cfg, gamma)
-        rows = []
-        for i in range(len(aspects)):
-            for j in range(len(angles)):
-                rows.append(
-                    (
-                        float(aspects[i]),
-                        float(angles[j]),
-                        float(weights[i, j]),
-                        float(pre[i, j]),
-                        float(clamped[i, j]),
-                    )
-                )
+        aspects, angles, exponents, *surfaces = threshold_surface(cfg, gamma)
+        cells = np.meshgrid(aspects, angles, indexing="ij")
+        rows = zip(*(column.ravel().tolist() for column in (*cells, *surfaces)))
         name = f"thresholds_gamma{gamma:g}.csv"
         _write_csv(
             out / name,

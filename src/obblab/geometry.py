@@ -435,22 +435,28 @@ def contains_points(box: OrientedBox, points: np.ndarray, atol: float = 0.0) -> 
     """Boolean mask of points inside (or on) a box; ``atol`` pads the
     half-extents to absorb rotation round-off."""
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    return _inside_mask(box, pts[:, 0], pts[:, 1], atol)
+    return _inside_mask(_box_frame(box, atol), pts[:, 0], pts[:, 1])
 
 
-def _inside_mask(box: OrientedBox, x: np.ndarray, y: np.ndarray, atol: float = 0.0) -> np.ndarray:
-    # In-place arithmetic: the Monte-Carlo oracle calls this on every sample.
-    c, s = math.cos(box.theta), math.sin(box.theta)
-    dx = x - box.cx
-    dy = y - box.cy
+def _box_frame(box: OrientedBox, atol: float = 0.0) -> tuple[float, ...]:
+    """(cx, cy, cos, sin, half w + atol, half h + atol): a box for :func:`_inside_mask`."""
+    return box.cx, box.cy, math.cos(box.theta), math.sin(box.theta), 0.5 * box.w + atol, 0.5 * box.h + atol
+
+
+def _inside_mask(frame, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Which points (x, y) lie inside or on the box of a :func:`_box_frame`, of floats
+    or of arrays that broadcast against x and y. In place: the oracle's hot loop."""
+    cx, cy, c, s, half_w, half_h = frame
+    dx = x - cx
+    dy = y - cy
     lx = dx * c
     lx += dy * s
     np.abs(lx, out=lx)
-    mask = lx <= 0.5 * box.w + atol
+    mask = lx <= half_w
     dy *= c
     dy -= dx * s
     np.abs(dy, out=dy)
-    mask &= dy <= 0.5 * box.h + atol
+    mask &= dy <= half_h
     return mask
 
 
@@ -473,8 +479,8 @@ def mc_iou_oracle(a: OrientedBox, b: OrientedBox, samples: int, seed: int) -> fl
         y = rng.uniform(lo[1], hi[1], n)
         for start in range(0, n, _ORACLE_BLOCK):
             block = slice(start, start + _ORACLE_BLOCK)
-            in_a = _inside_mask(a, x[block], y[block])
-            in_b = _inside_mask(b, x[block], y[block])
+            in_a = _inside_mask(_box_frame(a), x[block], y[block])
+            in_b = _inside_mask(_box_frame(b), x[block], y[block])
             inter_hits += int(np.count_nonzero(in_a & in_b))
             union_hits += int(np.count_nonzero(in_a | in_b))
         remaining -= n

@@ -275,9 +275,7 @@ def deformable_sample(
     if w.shape not in ((3, 3), (3, 3, grid.channels)):
         raise ValueError(f"kernel shape {w.shape} does not match 3x3 or 3x3x{grid.channels}")
     px, py = float(p0[0]), float(p0[1])
-    if not (math.isfinite(px) and math.isfinite(py)):
-        raise ValueError("p0 must be finite")
-    if (px, py) != field.p0:
+    if (px, py) != field.p0:  # also for a nan or inf p0, as field.p0 is finite
         raise ValueError(f"p0 {(px, py)} differs from the p0 {field.p0} the offset field was built for")
     points = (np.array([px, py]) + _TAPS) + field.offsets
     w = w.reshape(len(REGULAR_TAPS), -1)  # taps in REGULAR_TAPS order

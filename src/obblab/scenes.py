@@ -82,6 +82,8 @@ class SceneSpec:
                 raise ValueError(f"{name} is empty: {lo} > {hi}")
         if self.aspect_range[0] < 1.0:
             raise ValueError("aspect_range minimum must be >= 1")
+        if not all(abs(a) <= MAX_EXTENT for a in self.angle_range):  # wider overflows the sampled range
+            raise ValueError("angle_range endpoints must not exceed 2**508 in magnitude")
         if self.scale_range[0] <= 0.0:
             raise ValueError("scale_range must be positive")
         if self.placement not in (UNIFORM, GRID_SWEEP):
@@ -111,7 +113,7 @@ def _sample_center(rng: np.random.Generator, spec: SceneSpec, w: float, h: float
 
 def _bin_centers(lo: float, hi: float, bins: int) -> np.ndarray:
     edges = np.linspace(lo, hi, bins + 1)
-    return 0.5 * (edges[:-1] + edges[1:])
+    return 0.5 * edges[:-1] + 0.5 * edges[1:]  # exact halves; the sum may overflow
 
 
 def generate_scene(spec: SceneSpec) -> Scene:

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from obblab import assignment
 from obblab.assignment import (
+    ANGLE_DEPENDENT,
     CONSTANT_ONE,
     IGNORE,
     NEGATIVE,
@@ -33,7 +34,6 @@ from obblab.geometry import (
     _box_corners,
     _iou,
     _ious_against_squares,
-    contains_points,
     normalize_obb,
     rotated_iou,
 )
@@ -293,6 +293,28 @@ class TestIouStatistics:
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             iou_statistics([0.5, 1.2])
+        with pytest.raises(ValueError):
+            iou_statistics([[0.5, 0.5], [0.5, -0.1]])
+
+    @given(
+        rows=st.integers(1, 30),
+        columns=st.integers(1, 100),
+        values=st.sampled_from(["uniform", "sparse", "ties"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_table_rows_match_the_list_form_bit_for_bit(self, rows, columns, values, seed):
+        rng = np.random.default_rng(seed)
+        table = rng.uniform(0.0, 1.0, (rows, columns))
+        if values == "sparse":  # mostly zero, as far from an object
+            table[rng.uniform(size=table.shape) < 0.8] = 0.0
+        elif values == "ties":
+            table = rng.choice([0.0, 0.25, 1.0 / 3.0, 1.0], size=table.shape)
+        got = iou_statistics(table)
+        for row, ious in enumerate(table):
+            want = iou_statistics(ious)
+            assert all(type(v) is float for v in want)
+            assert [float(stat[row]) for stat in got] == list(want)  # == on floats, none are nan
 
 
 class TestMasThreshold:
@@ -648,7 +670,10 @@ def test_scene_without_gts():
     for assign in (assign_maxiou, assign_atss, assign_mas):
         result = assign(SMALL_GRID, [])
         assert np.all(result.gt_index == NEGATIVE)
-        assert result.positive_counts.size == 0
+        assert result.positive_counts.size == 0 and result.thresholds.size == 0
+    # every anchor's highest IoU is 0, which is in the ignore band at neg_thr 0
+    assert np.all(assign_maxiou(SMALL_GRID, [], 0.0, 0.0).gt_index == IGNORE)
+    assert np.all(assign_maxiou(SMALL_GRID, [], 0.5, 1e-300).gt_index == NEGATIVE)
 
 
 def test_gt_with_empty_overlap_set():
@@ -663,6 +688,48 @@ def test_gt_with_empty_overlap_set():
     assert np.array_equal(ious, [_iou(inside, SMALL_GRID.box(int(i))) for i in cand])
     result = assign_maxiou(SMALL_GRID, [GroundTruth(outside), GroundTruth(inside)])
     assert result.positive_counts[0] == 0 and result.positive_counts[1] >= 1
+
+
+# The threshold and centre-prior code as it stood before the table form, so
+# that the oracle runs none of the code it checks.
+def reference_iou_statistics(candidate_ious) -> tuple[float, float, float]:
+    ious = np.asarray(candidate_ious, dtype=float)
+    if ious.size == 0:
+        raise ValueError("no candidate IoUs")
+    if np.any(ious < 0.0) or np.any(ious > 1.0):
+        raise ValueError("IoU values must lie in [0, 1]")
+    mean = float(ious.mean())
+    std = float(np.sqrt(np.mean((ious - mean) ** 2)))
+    return mean, std, mean + std
+
+
+def reference_mas_threshold(gt: GroundTruth, candidate_ious, cfg: MasConfig) -> float:
+    _, _, init = reference_iou_statistics(candidate_ious)
+    f = 1.0 if cfg.unit_weight else shape_weight(gt.aspect, gt.angle, cfg.gamma, cfg.lambda_mode, cfg.raw_lambda)
+    return float(reference_clamped_threshold(f, init, cfg.threshold_clamp)[1])
+
+
+def reference_clamped_threshold(f, init: float, clamp: tuple[float, float]):
+    with np.errstate(over="ignore"):
+        raw = np.multiply(f, init) if init else np.zeros_like(f)
+    return raw, np.clip(raw, *clamp)
+
+
+def reference_contains_points(box: OrientedBox, points: np.ndarray, atol: float = 0.0) -> np.ndarray:
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    x, y = pts[:, 0], pts[:, 1]
+    c, s = math.cos(box.theta), math.sin(box.theta)
+    dx = x - box.cx
+    dy = y - box.cy
+    lx = dx * c
+    lx += dy * s
+    np.abs(lx, out=lx)
+    mask = lx <= 0.5 * box.w + atol
+    dy *= c
+    dy -= dx * s
+    np.abs(dy, out=dy)
+    mask &= dy <= 0.5 * box.h + atol
+    return mask
 
 
 def reference_fallback(gt_index, candidates, candidate_ious):
@@ -708,10 +775,10 @@ def reference_assign(grid, gts, cfg):
         candidate_ious = np.split(ious, np.cumsum(sizes)[:-1])
     claims = []
     for g, (gt, cand, ious) in enumerate(zip(gts, candidates, candidate_ious)):
-        thresholds[g] = mas_threshold(gt, ious, cfg) if adaptive else cfg.pos_thr
+        thresholds[g] = reference_mas_threshold(gt, ious, cfg) if adaptive else cfg.pos_thr
         eligible = (ious >= thresholds[g]) & (ious > 0.0)
         if adaptive and cfg.use_center_prior:
-            eligible &= contains_points(gt.box, grid.centers[cand])
+            eligible &= reference_contains_points(gt.box, grid.centers[cand])
         claims.append((cand[eligible], ious[eligible], np.full(np.count_nonzero(eligible), g)))
     gt_index = np.full(grid.num_anchors, NEGATIVE, dtype=int)
     if claims:
@@ -740,29 +807,45 @@ def crowded_scenes(draw):
     """`crowded_gts` scenes of 20-60 objects, whose objects may come in up to
     8 identical copies, which contest the same anchors until their nonzero
     IoUs run out, plus up to 5 objects on an anchor, whose IoU 1 meets a
-    threshold of 1, and up to 2 far outside the image, whose candidates all
-    have IoU 0."""
+    threshold of 1, up to 3 axis-aligned objects centred on an anchor of
+    stride s, with half-extents in multiples of s / 4, whose edges pass
+    exactly through anchor centres of that level and the levels next to it
+    (the centre prior's boundary) and whose shape weight may drop their
+    threshold below those anchors' IoUs, and up to 2 far outside the image,
+    whose candidates all have IoU 0."""
     count = draw(st.integers(20, 60))
     copies = draw(st.sampled_from([1, 2, 4, 8]))
     gts = [gt for gt in crowded_gts(draw(st.integers(0, 2**32 - 1)), count // copies) for _ in range(copies)]
     on_anchors = draw(st.lists(st.integers(0, CROWDED_GRID.num_anchors - 1), max_size=5))
+    quarters = st.tuples(st.integers(0, CROWDED_GRID.num_anchors - 1), st.integers(1, 16), st.integers(1, 4))
+    edged = [(CROWDED_GRID.box(i), a, b) for i, a, b in draw(st.lists(quarters, max_size=3))]
     outside = [GroundTruth(normalize_obb(5e5, -5e5, 20.0, 10.0, 0.3))] * draw(st.integers(0, 2))
-    return gts + [GroundTruth(CROWDED_GRID.box(i)) for i in on_anchors] + outside
+    return (
+        gts
+        + [GroundTruth(CROWDED_GRID.box(i)) for i in on_anchors]
+        + [GroundTruth(normalize_obb(c.cx, c.cy, a * c.w / 8, b * c.w / 8, 0.0)) for c, a, b in edged]  # side 4 s
+        + outside
+    )
 
 
 @st.composite
 def assignment_configs(draw):
     """A maxiou config with thresholds that may be 0, or an ATSS or MAS
-    config with any k, centre prior and shape weight."""
+    config with any k and centre prior, either lambda mode, the signed
+    lambda, a gamma small enough to saturate the shape weight, and the
+    widest clamp."""
     strategy = draw(st.sampled_from(["maxiou", "atss", "mas"]))
     if strategy == "maxiou":
         thr = st.one_of(st.sampled_from([0.0, 0.3, 0.4, 0.5, 1.0]), st.floats(0.0, 1.0))
         neg_thr, pos_thr = sorted([draw(thr), draw(thr)])
         return MaxIouConfig(pos_thr, neg_thr)
     return MasConfig(
-        gamma=draw(st.sampled_from([0.5, 2.0, 5.0])),
+        gamma=draw(st.sampled_from([0.001, 0.5, 2.0, 5.0])),
+        lambda_mode=draw(st.sampled_from([ANGLE_DEPENDENT, CONSTANT_ONE])),
         candidate_k=draw(st.one_of(st.just(1), st.integers(1, 16))),
+        threshold_clamp=draw(st.sampled_from([(0.05, 0.95), (0.0, 1.0)])),
         use_center_prior=draw(st.booleans()),
+        raw_lambda=draw(st.booleans()),
         unit_weight=strategy == "atss",
     )
 

@@ -6,6 +6,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+
+from obblab.assignment import ANGLE_DEPENDENT, CONSTANT_ONE, MasConfig, iou_statistics, saturating_exp, shape_exponent
 
 from obblab.cli import (
     EXIT_CONFIG,
@@ -18,9 +21,11 @@ from obblab.cli import (
     STRATEGIES,
     ConfigError,
     RunConfig,
+    ThresholdsConfig,
     load_run_config,
     main,
     read_csv,
+    threshold_surface,
 )
 from obblab.geometry import MAX_EXTENT
 from obblab.scenes import MAX_BINS
@@ -181,13 +186,32 @@ def test_largest_stride_runs_clean_and_the_next_is_rejected(tmp_path, capsys, mu
 
 
 def test_aspect_range_near_the_float_maximum_bins_without_overflow(tmp_path):
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps({"scene": {"aspect_range": [1, 1e308]}, "stats": {"scenes": 1}}))
+    # grid-sweep objects sit at the bin centres, whose edge sum overflowed
+    for scene in ({"aspect_range": [1, 1e308]}, {"aspect_range": [1, 1.7e308], "placement": "grid-sweep"}):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"scene": scene, "stats": {"scenes": 1}}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(["stats", "--config", path, "--out", tmp_path / "o"]) == EXIT_OK
+        _, _, rows = read_csv(tmp_path / "o" / "stats_aspect.csv")
+        assert all(math.isfinite(float(row[3])) for row in rows)
+
+
+@pytest.mark.parametrize("placement", ["uniform", "grid-sweep"])
+def test_widest_angle_range_runs_clean_and_a_wider_one_is_rejected(tmp_path, capsys, placement):
+    # -1e308 to 1e308 overflowed the range that the angles are drawn from
+    def stats(bound):
+        path = tmp_path / "config.json"
+        scene = {"angle_range": [-bound, bound], "placement": placement, "aspect_bins": 2, "angle_bins": 4}
+        path.write_text(json.dumps({"scene": scene, "stats": {"scenes": 1}}))
+        return run_cli(["stats", "--config", path, "--out", tmp_path / "o"])
+
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert run_cli(["stats", "--config", path, "--out", tmp_path / "o"]) == EXIT_OK
-    _, _, rows = read_csv(tmp_path / "o" / "stats_aspect.csv")
-    assert all(math.isfinite(float(row[3])) for row in rows)
+        assert stats(MAX_EXTENT) == EXIT_OK
+        assert stats(math.nextafter(MAX_EXTENT, math.inf)) == EXIT_CONFIG
+        assert stats(1e308) == EXIT_CONFIG
+    assert "scene: angle_range endpoints must not exceed 2**508 in magnitude" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -340,6 +364,54 @@ class TestThresholdsCommand:
         out = tmp_path / "out"
         assert run_cli(["thresholds", "--config", cfg, "--out", out, *flags]) == EXIT_OK
         assert json.loads((out / "thresholds.json").read_text())["gammas"] == gammas
+
+
+def reference_threshold_surface(cfg: RunConfig, gamma: float):
+    """The surface as one Python call per cell, as it stood before one
+    vectorised threshold rule served the CLI: the oracle of
+    ``threshold_surface``."""
+    aspects = np.linspace(*cfg.thresholds.aspect_range, cfg.thresholds.aspect_count)
+    angles = np.linspace(-math.pi / 4, 3.0 * math.pi / 4, cfg.thresholds.angle_count, endpoint=False)
+    _, _, init = iou_statistics(cfg.thresholds.candidate_ious)
+    exponents = np.empty((len(aspects), len(angles)))
+    weights = np.empty_like(exponents)
+    for i, aspect in enumerate(aspects.tolist()):
+        for j, angle in enumerate(angles.tolist()):
+            exponents[i, j] = e = shape_exponent(aspect, angle, gamma, cfg.mas.lambda_mode, cfg.mas.raw_lambda)
+            weights[i, j] = saturating_exp(e)
+    with np.errstate(over="ignore"):
+        pre_clamp = np.multiply(weights, init) if init else np.zeros_like(weights)
+    return aspects, angles, exponents, weights, pre_clamp, np.clip(pre_clamp, *cfg.mas.threshold_clamp)
+
+
+@given(
+    gamma=st.sampled_from([0.001, 0.01, 5.0]),
+    lambda_mode=st.sampled_from([ANGLE_DEPENDENT, CONSTANT_ONE]),
+    raw_lambda=st.booleans(),
+    clamp=st.sampled_from([(0.05, 0.95), (0.0, 1.0)]),
+    candidate_ious=st.one_of(
+        st.lists(st.just(0.0), min_size=1, max_size=4),
+        st.lists(st.floats(0.0, 1.0), min_size=1, max_size=9),
+        st.just([0.0, 1.0, 1.0, 1.0]),
+    ),
+    aspect_range=st.sampled_from([(1.0, 12.0), (1.0, 2.0), (1.5, 1e6)]),
+    counts=st.tuples(st.integers(2, 30), st.integers(2, 40)),
+)
+@settings(max_examples=100, deadline=None)
+def test_threshold_surface_matches_the_per_cell_reference(
+    gamma, lambda_mode, raw_lambda, clamp, candidate_ious, aspect_range, counts
+):
+    cfg = RunConfig(
+        mas=MasConfig(gamma=gamma, lambda_mode=lambda_mode, raw_lambda=raw_lambda, threshold_clamp=clamp),
+        thresholds=ThresholdsConfig(
+            aspect_count=counts[0], aspect_range=aspect_range, angle_count=counts[1],
+            candidate_ious=tuple(candidate_ious),
+        ),
+    )
+    got, want = threshold_surface(cfg, gamma), reference_threshold_surface(cfg, gamma)
+    # aspects, angles, then exponents, weights, pre-clamp and clamped thresholds
+    for name, a, b in zip(("aspects", "angles", "exponents", "weights", "pre_clamp", "clamped"), got, want):
+        assert a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64)), name
 
 
 def test_documented_config_keys_load_as_defaults(tmp_path):
