@@ -28,10 +28,10 @@ from .geometry import (
     MAX_EXTENT,
     QUARTER_PI,
     OrientedBox,
-    _box_corners,
     _box_frame,
+    _corners,
     _inside_mask,
-    _ious_against_squares,
+    _ious_between,
 )
 
 NEGATIVE = -1
@@ -361,17 +361,14 @@ class AssignmentResult:
         return self.gt_index == NEGATIVE
 
 
-def _overlapping_anchor_indices(grid: AnchorGrid, gt_box: OrientedBox) -> np.ndarray:
-    """Anchors whose axis-aligned bounds overlap the gt's bounds; every
-    anchor with nonzero IoU is included (anchors are axis-aligned).
+def _overlapping_anchor_indices(grid: AnchorGrid, lo, hi) -> np.ndarray:
+    """Anchors whose axis-aligned bounds overlap the gt's, (min x, min y)
+    ``lo`` to ``hi``; every anchor with nonzero IoU is included.
 
     The x test depends only on the column and the y test only on the row,
     so each level crosses the columns and the rows that pass: the strict
     test over every anchor, in ascending order, at a cost that grows with
     the level's side."""
-    corners = np.array(_box_corners(gt_box))
-    lo = corners.min(axis=0)
-    hi = corners.max(axis=0)
     picked = []
     for start, lattice, xs, ys in _lattice_axes(grid):
         half = 0.5 * lattice.anchor_size
@@ -440,20 +437,24 @@ def _assign(grid: AnchorGrid, gts, cfg: MasConfig | MaxIouConfig) -> AssignmentR
     if not gts:  # every anchor's highest IoU is 0, in maxiou's ignore band at neg_thr 0
         label = NEGATIVE if adaptive or cfg.neg_thr > 0.0 else IGNORE
         return AssignmentResult(np.full(grid.num_anchors, label, dtype=int), np.empty(0), np.zeros(0, dtype=int))
+    frames = np.array([_box_frame(gt.box) for gt in gts]).T  # six (gts,) columns
     if adaptive:
         candidates = [select_candidates(grid, gt, cfg.candidate_k) for gt in gts]
     else:
-        candidates = [_overlapping_anchor_indices(grid, gt.box) for gt in gts]
+        corners = np.array(_corners(frames))  # (corner, x or y, gt)
+        candidates = [_overlapping_anchor_indices(grid, *b) for b in zip(corners.min(0).T, corners.max(0).T)]
     anchor = np.concatenate(candidates)
     owner = np.repeat(np.arange(len(gts)), [cand.size for cand in candidates])
-    iou = _ious_against_squares([gt.box for gt in gts], owner, grid.centers[anchor], grid.sizes[anchor])
+    (x, y), sides = grid.centers[anchor].T, grid.sizes[anchor]
+    half = 0.5 * sides
+    squares = (x, y, math.cos(0.0), math.sin(0.0), half, half)
+    iou = _ious_between(frames[:, owner], np.array([gt.box.area for gt in gts])[owner], squares, sides * sides)
     eligible = iou > 0.0
     if adaptive:
         _, _, init = iou_statistics(iou.reshape(len(gts), -1))
         thresholds = adaptive_thresholds([gt.aspect for gt in gts], [gt.angle for gt in gts], init, cfg)[3]
         if cfg.use_center_prior:
-            frames = np.array([_box_frame(gt.box) for gt in gts]).T[..., None]  # six (gts, 1) columns
-            eligible &= _inside_mask(frames, *grid.centers[anchor].T.reshape(2, len(gts), -1)).ravel()
+            eligible &= _inside_mask(frames[..., None], x.reshape(len(gts), -1), y.reshape(len(gts), -1)).ravel()
     else:
         thresholds = np.full(len(gts), cfg.pos_thr)
     eligible &= iou >= thresholds[owner]

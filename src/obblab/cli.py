@@ -39,7 +39,7 @@ from .assignment import (
     generate_anchors,
     iou_statistics,
 )
-from .geometry import QUARTER_PI, HALF_PI, OrientedBox, normalize_obb, mc_iou_oracle, rotated_iou
+from .geometry import MAX_EXTENT, QUARTER_PI, HALF_PI, OrientedBox, normalize_obb, mc_iou_oracle, rotated_iou
 from .losses import (
     BetaState,
     MultiTaskLossConfig,
@@ -90,6 +90,11 @@ MAX_ANCHORS = 10_000_000
 MAX_SURFACE_CELLS = 1_000_000  # thresholds.aspect_count x angle_count
 MAX_CHECK_POINTS = 1_000_000  # loss_check.points
 
+# The smallest loss_check.beta. The smooth-L1 check draws x in [-4 beta,
+# 4 beta] and skips each x within 1e-4 of the knee: at this bound it keeps
+# half its draws, and below about 3.3e-5 none.
+MIN_CHECK_BETA = 1e-4
+
 
 class ConfigError(ValueError):
     """Invalid configuration file or flag combination."""
@@ -131,7 +136,10 @@ class ThresholdsConfig:
     def __post_init__(self) -> None:
         if min(self.aspect_count, self.angle_count) < 2 or self.aspect_count * self.angle_count > MAX_SURFACE_CELLS:
             raise ValueError(f"threshold grids need at least 2 points per axis and at most {MAX_SURFACE_CELLS} in all")
-        if self.aspect_range[0] < 1.0:
+        lo, hi = self.aspect_range
+        if not lo <= hi:
+            raise ValueError(f"aspect_range is empty: {lo} > {hi}")
+        if lo < 1.0:
             raise ValueError("aspect_range minimum must be >= 1")
         iou_statistics(self.candidate_ious)  # rejects an empty list and values outside [0, 1]
         if self.gammas is not None and not (self.gammas and all(g > 0.0 for g in self.gammas)):
@@ -152,6 +160,10 @@ class LossCheckConfig:
     def __post_init__(self) -> None:
         if self.iterations < 1 or not 1 <= self.points <= MAX_CHECK_POINTS or self.tau <= 0 or self.beta <= 0:
             raise ValueError(f"iterations, tau and beta must be positive, and points in [1, {MAX_CHECK_POINTS}]")
+        if not all(map(math.isfinite, (self.tau, self.beta, self.focal_alpha, self.focal_gamma))):
+            raise ValueError("tau, beta, focal_alpha and focal_gamma must be finite")
+        if not MIN_CHECK_BETA <= self.beta <= MAX_EXTENT:
+            raise ValueError(f"beta must lie in [{MIN_CHECK_BETA}, 2**508]")
 
 
 @dataclass(frozen=True)
@@ -511,6 +523,8 @@ def run_beta_trajectory(
 
 
 def cmd_loss_check(args: argparse.Namespace, cfg: RunConfig) -> int:
+    if not math.isfinite(args.constant_s):
+        raise ConfigError("--constant-s must be finite")
     out = _out_dir(args)
     loss = cfg.loss_check
     report = gradient_check(args.seed, loss.points, loss.beta, loss.focal_alpha, loss.focal_gamma)
@@ -518,7 +532,7 @@ def cmd_loss_check(args: argparse.Namespace, cfg: RunConfig) -> int:
     offenders = [
         name
         for name in ("smooth_l1", "focal")
-        if report[name]["max_relative_error"] > tolerance
+        if not report[name]["max_relative_error"] <= tolerance  # NaN fails
     ]
     rows, _ = run_beta_trajectory(cfg.beta, loss.iterations, loss.tau, args.schedule, args.constant_s)
     _write_csv(
@@ -557,11 +571,16 @@ def cmd_loss_check(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 
 def _flag_box(values) -> OrientedBox:
-    """A box given on the command line; an invalid one is a usage error."""
+    """A box given on the command line; an invalid one, or one whose center
+    or edges exceed 2**508 in magnitude (the bound of annotation
+    coordinates), is a usage error."""
     try:
-        return normalize_obb(*values)
+        box = normalize_obb(*values)
     except ValueError as exc:
         raise ConfigError(exc) from None
+    if not max(abs(box.cx), abs(box.cy), box.w) <= MAX_EXTENT:
+        raise ConfigError("box center and edges must not exceed 2**508 in magnitude")
+    return box
 
 
 def cmd_iou(args: argparse.Namespace, cfg: RunConfig) -> int:
@@ -682,10 +701,13 @@ def cmd_cfs_demo(args: argparse.Namespace, cfg: RunConfig) -> int:
     offsets = _load_offsets(args.offsets) if args.offsets else None
     if not 0.0 <= args.shrink < 1.0:
         raise ConfigError("--shrink must lie in [0, 1)")
-    if args.stride <= 0:
-        raise ConfigError("--stride must be positive")
+    if not 0.0 < args.stride < math.inf:
+        raise ConfigError("--stride must be positive and finite")
+    cell = (box.cx / args.stride, box.cy / args.stride)
+    if not all(map(math.isfinite, cell)):
+        raise ConfigError("--stride must keep the box center finite in feature cells")
     pattern = sampling_pattern(box, offsets, args.shrink)
-    p0 = (math.floor(box.cx / args.stride), math.floor(box.cy / args.stride))
+    p0 = tuple(map(math.floor, cell))
     field = dcn_offset_field(pattern.refined_points, p0, args.stride)
     kernel = _demo_kernel(args.kernel, grid.channels, args.seed)
     value = deformable_sample(grid, kernel, p0, field)

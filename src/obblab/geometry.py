@@ -6,10 +6,11 @@ come from Sutherland-Hodgman clipping of convex quads; a seeded Monte-Carlo
 estimator is provided as an independent cross-check for tests.
 
 The clipper has two forms with the same IEEE operations: the scalar one
-behind :func:`rotated_iou`, and `_ious_against_squares`, which clips the
-boxes of a whole scene against their axis-aligned anchors in one NumPy pass
-and gives the same bits as the scalar one, pair for pair. One pair costs
-far less through the scalar form, so `rotated_iou` keeps it.
+behind :func:`rotated_iou`, and `_ious_between`, which clips any number of
+box pairs, one per row, in one NumPy pass and gives the same bits as the
+scalar one, pair for pair. Both read a box through its `_box_frame` and
+`_corners`. One pair costs far less through the scalar form, so
+`rotated_iou` keeps it.
 
 All types are immutable values and all functions are pure, so everything
 here is safe to call concurrently.
@@ -173,16 +174,20 @@ def signed_area(points) -> float:
 def obb_to_polygon(box: OrientedBox) -> ConvexQuad:
     """Corner quad of a box, counter-clockwise from the local (+w/2, +h/2)
     corner."""
-    return ConvexQuad.from_points(_box_corners(box))
+    return ConvexQuad.from_points(_corners(_box_frame(box)))
 
 
-def _box_corners(box: OrientedBox) -> list[tuple[float, float]]:
-    c, s = math.cos(box.theta), math.sin(box.theta)
-    hw, hh = 0.5 * box.w, 0.5 * box.h
-    corners = []
-    for lx, ly in ((hw, hh), (-hw, hh), (-hw, -hh), (hw, -hh)):
-        corners.append((box.cx + lx * c - ly * s, box.cy + lx * s + ly * c))
-    return corners
+def _box_frame(box: OrientedBox, atol: float = 0.0) -> tuple[float, ...]:
+    """(cx, cy, cos, sin, half w + atol, half h + atol): the numbers that
+    :func:`_corners` and :func:`_inside_mask` read off a box."""
+    return box.cx, box.cy, math.cos(box.theta), math.sin(box.theta), 0.5 * box.w + atol, 0.5 * box.h + atol
+
+
+def _corners(frame) -> list[tuple]:
+    """The four (x, y) corners of a :func:`_box_frame`, of floats or of
+    arrays, counter-clockwise from the local (+w/2, +h/2) corner."""
+    cx, cy, c, s, hw, hh = frame
+    return [(cx + lx * c - ly * s, cy + lx * s + ly * c) for lx, ly in ((hw, hh), (-hw, hh), (-hw, -hh), (hw, -hh))]
 
 
 def quad_to_obb(quad: ConvexQuad) -> OrientedBox:
@@ -293,50 +298,46 @@ def rotated_iou(a: OrientedBox, b: OrientedBox) -> float:
 def _iou(a: OrientedBox, b: OrientedBox) -> float:
     """IoU with ``a`` clipped by ``b``; the argument order fixes the
     rounding, so callers that need symmetry go through :func:`rotated_iou`."""
-    inter = _intersection_area(_box_corners(a), _box_corners(b))
+    inter = _intersection_area(_corners(_box_frame(a)), _corners(_box_frame(b)))
     union = a.area + b.area - inter
     if union <= 0.0:
         return 0.0
     return min(1.0, max(0.0, inter / union))
 
 
-def _ious_against_squares(boxes, owner: np.ndarray, centers: np.ndarray, sides: np.ndarray) -> np.ndarray:
-    """Row i: ``_iou(boxes[owner[i]], OrientedBox(*centers[i], sides[i],
-    sides[i], 0.0))``, bit for bit, for all rows in one pass.
+def _ious_between(a, a_area, b, b_area) -> np.ndarray:
+    """Row i: ``_iou(A_i, B_i)``, bit for bit, for all rows in one pass.
+    A_i and B_i are row i of the :func:`_box_frame` columns ``a`` and ``b``
+    (arrays of one box per row; a float in ``b`` is shared by every row),
+    with areas ``a_area[i]`` and ``b_area[i]``.
 
     This is the scalar clipper run on every row at once, and each row gets
     the same IEEE operations in the same order. The polygons sit in (x, y)
     planes of (slots, rows) with a vertex count per row; slot 0 repeats
     each polygon's last vertex, so that slot j - 1 holds the vertex before
     slot j."""
-    n = owner.size
-    corners = np.array([_box_corners(b) for b in boxes], dtype=float).reshape(-1, 4, 2)
+    n = np.size(a_area)
     # Two ping-pong buffers. Four clip edges take a quad to at most 8
     # vertices, which sit between the closing slot and a slot that closes
     # the shoelace; `_clip_rows` widens a buffer if rounding adds more.
     buffers = list(np.zeros((2, 2, 10, n)))
-    buffers[0][:, 1:5] = corners[owner].transpose(2, 1, 0)
+    for slot, (x, y) in enumerate(_corners(a), start=1):
+        buffers[0][:, slot] = x, y
     buffers[0][:, 0] = buffers[0][:, 4]
     count = np.full(n, 4)
-    # The square's corners, as `_box_corners` computes them at theta = 0.
-    c, s = math.cos(0.0), math.sin(0.0)
-    hw = 0.5 * sides
-    clip = [
-        (centers[:, 0] + lx * c - ly * s, centers[:, 1] + lx * s + ly * c)
-        for lx, ly in ((hw, hw), (-hw, hw), (-hw, -hw), (hw, -hw))
-    ]
+    clip = _corners(b)
     for start, end in zip(clip[-1:] + clip[:-1], clip):
         buffers[1], count = _clip_rows(*buffers, count, start, end)
         buffers.reverse()
     inter = _overlap_areas(buffers[0], count)
-    union = np.array([b.area for b in boxes], dtype=float)[owner] + sides * sides - inter
+    union = a_area + b_area - inter
     iou = np.divide(inter, union, out=np.zeros(n), where=union > 0.0)
     iou = np.where(iou > 0.0, iou, 0.0)
     return np.where(iou < 1.0, iou, 1.0)
 
 
 def _clip_rows(src: np.ndarray, dst: np.ndarray, count: np.ndarray, start, end) -> tuple[np.ndarray, np.ndarray]:
-    """One `_clip_polygon` pass over the rows of `_ious_against_squares`:
+    """One `_clip_polygon` pass over the rows of `_ious_between`:
     each row's polygon in ``src`` is cut by the half-plane left of its edge
     ``start`` -> ``end`` and written to ``dst``, or to a wider buffer when
     ``dst`` is too narrow. Each vertex emits its edge crossing, if its side
@@ -398,7 +399,7 @@ def _clip_rows(src: np.ndarray, dst: np.ndarray, count: np.ndarray, start, end) 
 
 def _overlap_areas(planes: np.ndarray, count: np.ndarray) -> np.ndarray:
     """``max(0.0, signed_area(_merge_close(polygon)))`` of each row's
-    clipped polygon in the (x, y) ``planes`` of `_ious_against_squares`,
+    clipped polygon in the (x, y) ``planes`` of `_ious_between`,
     as masked passes over the slots; the planes are overwritten."""
     x, y = planes
     rows = np.arange(count.size)
@@ -438,11 +439,6 @@ def contains_points(box: OrientedBox, points: np.ndarray, atol: float = 0.0) -> 
     return _inside_mask(_box_frame(box, atol), pts[:, 0], pts[:, 1])
 
 
-def _box_frame(box: OrientedBox, atol: float = 0.0) -> tuple[float, ...]:
-    """(cx, cy, cos, sin, half w + atol, half h + atol): a box for :func:`_inside_mask`."""
-    return box.cx, box.cy, math.cos(box.theta), math.sin(box.theta), 0.5 * box.w + atol, 0.5 * box.h + atol
-
-
 def _inside_mask(frame, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Which points (x, y) lie inside or on the box of a :func:`_box_frame`, of floats
     or of arrays that broadcast against x and y. In place: the oracle's hot loop."""
@@ -466,7 +462,8 @@ def mc_iou_oracle(a: OrientedBox, b: OrientedBox, samples: int, seed: int) -> fl
     to :func:`rotated_iou` as ``samples`` grows."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    corners = np.array(_box_corners(a) + _box_corners(b))
+    frame_a, frame_b = _box_frame(a), _box_frame(b)
+    corners = np.array(_corners(frame_a) + _corners(frame_b))
     lo = corners.min(axis=0)
     hi = corners.max(axis=0)
     rng = np.random.default_rng(seed)
@@ -479,8 +476,8 @@ def mc_iou_oracle(a: OrientedBox, b: OrientedBox, samples: int, seed: int) -> fl
         y = rng.uniform(lo[1], hi[1], n)
         for start in range(0, n, _ORACLE_BLOCK):
             block = slice(start, start + _ORACLE_BLOCK)
-            in_a = _inside_mask(_box_frame(a), x[block], y[block])
-            in_b = _inside_mask(_box_frame(b), x[block], y[block])
+            in_a = _inside_mask(frame_a, x[block], y[block])
+            in_b = _inside_mask(frame_b, x[block], y[block])
             inter_hits += int(np.count_nonzero(in_a & in_b))
             union_hits += int(np.count_nonzero(in_a | in_b))
         remaining -= n

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import OrientedBox
+from .geometry import OrientedBox, _box_frame
 
 # Regular 3x3 kernel taps in row-major order: (rx, ry) with ry the row.
 REGULAR_TAPS: tuple[tuple[int, int], ...] = (
@@ -145,7 +145,7 @@ def initial_sampling_positions(box: OrientedBox) -> np.ndarray:
     from the +w/2 edge. All points are rotated by the box angle about the
     center, and all lie inside or on the box.
     """
-    hw, hh = 0.5 * box.w, 0.5 * box.h
+    cx, cy, c, s, hw, hh = _box_frame(box)
     local = np.array(
         [
             (0.0, 0.0),
@@ -153,9 +153,8 @@ def initial_sampling_positions(box: OrientedBox) -> np.ndarray:
             (hw, 0.0), (0.0, hh), (-hw, 0.0), (0.0, -hh),
         ]
     )
-    c, s = math.cos(box.theta), math.sin(box.theta)
     rot = np.array([[c, -s], [s, c]])
-    return local @ rot.T + np.array([box.cx, box.cy])
+    return local @ rot.T + np.array([cx, cy])
 
 
 def _as_offset_array(offsets) -> np.ndarray:

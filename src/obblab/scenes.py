@@ -22,7 +22,8 @@ from .geometry import (
     QUARTER_PI,
     ConvexQuad,
     DegenerateQuadError,
-    _box_corners,
+    _box_frame,
+    _corners,
     normalize_obb,
     quad_to_obb,
 )
@@ -252,7 +253,7 @@ def scene_to_dota_lines(scene: Scene, category_names: list[str] | None = None) -
         category_names = list(dota_category_table())
     lines = []
     for gt in scene.gts:
-        corners = _box_corners(gt.box)
+        corners = _corners(_box_frame(gt.box))
         coords = " ".join(f"{coordinate!r}" for point in corners for coordinate in point)
         lines.append(f"{coords} {category_names[gt.class_id]} 0")
     return lines

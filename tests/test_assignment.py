@@ -31,9 +31,10 @@ from obblab.assignment import (
 )
 from obblab.geometry import (
     OrientedBox,
-    _box_corners,
+    _box_frame,
+    _corners,
     _iou,
-    _ious_against_squares,
+    _ious_between,
     normalize_obb,
     rotated_iou,
 )
@@ -91,18 +92,34 @@ def brute_force_candidates(grid, gt, k):
     return np.concatenate(picked)
 
 
+def ious_against_anchors(grid, boxes, owner, anchors):
+    """Row i: the IoU of boxes[owner[i]] against anchor anchors[i], from one
+    clipping-kernel call with the frames that `_assign` passes."""
+    frames = np.array([_box_frame(b) for b in boxes]).reshape(-1, 6).T
+    areas = np.array([b.area for b in boxes])
+    sides = grid.sizes[anchors]
+    half = 0.5 * sides
+    squares = (*grid.centers[anchors].T, math.cos(0.0), math.sin(0.0), half, half)
+    return _ious_between(frames[:, owner], areas[owner], squares, sides * sides)
+
+
 def anchor_ious(grid, boxes):
     """IoUs of each box against every anchor of ``grid``, one row per box,
     from one clipping-kernel call."""
     owner = np.repeat(np.arange(len(boxes)), grid.num_anchors)
-    centers, sides = np.tile(grid.centers, (len(boxes), 1)), np.tile(grid.sizes, len(boxes))
-    return _ious_against_squares(boxes, owner, centers, sides).reshape(len(boxes), grid.num_anchors)
+    anchors = np.tile(np.arange(grid.num_anchors), len(boxes))
+    return ious_against_anchors(grid, boxes, owner, anchors).reshape(len(boxes), grid.num_anchors)
+
+
+def box_bounds(box):
+    """(min x, min y) and (max x, max y) of a box's corners."""
+    corners = np.array(_corners(_box_frame(box)))
+    return corners.min(axis=0), corners.max(axis=0)
 
 
 def brute_force_overlaps(grid, gt_box):
     """Anchors whose bounds overlap the gt's bounds, by testing every anchor."""
-    corners = np.array(_box_corners(gt_box))
-    lo, hi = corners.min(axis=0), corners.max(axis=0)
+    lo, hi = box_bounds(gt_box)
     half = grid.sizes * 0.5
     cx, cy = grid.centers[:, 0], grid.centers[:, 1]
     return np.nonzero((cx - half < hi[0]) & (cx + half > lo[0]) & (cy - half < hi[1]) & (cy + half > lo[1]))[0]
@@ -445,7 +462,7 @@ def test_overlapping_anchors_equal_full_scan(data):
     y0, y1 = sorted(data.draw(st.lists(edges, min_size=2, max_size=2, unique=True)))
     theta = data.draw(st.sampled_from([0.0, QP, 2 * QP]))
     box = normalize_obb((x0 + x1) / 2, (y0 + y1) / 2, x1 - x0, y1 - y0, theta)
-    assert np.array_equal(_overlapping_anchor_indices(grid, box), brute_force_overlaps(grid, box))
+    assert np.array_equal(_overlapping_anchor_indices(grid, *box_bounds(box)), brute_force_overlaps(grid, box))
 
 
 class TestAssignMas:
@@ -679,11 +696,11 @@ def test_scene_without_gts():
 def test_gt_with_empty_overlap_set():
     outside = normalize_obb(5e5, -5e5, 20.0, 10.0, 0.3)
     inside = normalize_obb(28.0, 28.0, 20.0, 10.0, 0.3)
-    empty = _overlapping_anchor_indices(SMALL_GRID, outside)
+    empty = _overlapping_anchor_indices(SMALL_GRID, *box_bounds(outside))
     assert empty.size == 0
-    cand = _overlapping_anchor_indices(SMALL_GRID, inside)
+    cand = _overlapping_anchor_indices(SMALL_GRID, *box_bounds(inside))
     owner = np.ones(cand.size, dtype=int)
-    ious = _ious_against_squares([outside, inside, outside], owner, SMALL_GRID.centers[cand], SMALL_GRID.sizes[cand])
+    ious = ious_against_anchors(SMALL_GRID, [outside, inside, outside], owner, cand)
     assert ious.shape == (cand.size,)
     assert np.array_equal(ious, [_iou(inside, SMALL_GRID.box(int(i))) for i in cand])
     result = assign_maxiou(SMALL_GRID, [GroundTruth(outside), GroundTruth(inside)])
@@ -765,13 +782,13 @@ def reference_assign(grid, gts, cfg):
     if adaptive:
         candidates = [select_candidates(grid, gt, cfg.candidate_k) for gt in gts]
     else:
-        candidates = [_overlapping_anchor_indices(grid, gt.box) for gt in gts]
+        candidates = [_overlapping_anchor_indices(grid, *box_bounds(gt.box)) for gt in gts]
     candidate_ious = []
     if candidates:
         sizes = [cand.size for cand in candidates]
         indices = np.concatenate(candidates)
         owner = np.repeat(np.arange(len(candidates)), sizes)
-        ious = _ious_against_squares([gt.box for gt in gts], owner, grid.centers[indices], grid.sizes[indices])
+        ious = ious_against_anchors(grid, [gt.box for gt in gts], owner, indices)
         candidate_ious = np.split(ious, np.cumsum(sizes)[:-1])
     claims = []
     for g, (gt, cand, ious) in enumerate(zip(gts, candidates, candidate_ious)):

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from obblab.assignment import ANGLE_DEPENDENT, CONSTANT_ONE, MasConfig, iou_statistics, saturating_exp, shape_exponent
 
+from obblab import cli
 from obblab.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
@@ -18,6 +19,7 @@ from obblab.cli import (
     MAX_ANCHORS,
     MAX_CHECK_POINTS,
     MAX_SURFACE_CELLS,
+    MIN_CHECK_BETA,
     STRATEGIES,
     ConfigError,
     RunConfig,
@@ -102,6 +104,16 @@ class TestStatsCommand:
             pytest.param({"mas": {"use_center_prior": "yes"}}, [], id="string-for-bool"),
             pytest.param({"thresholds": {"gammas": [0]}}, [], id="zero-gamma"),
             pytest.param({"thresholds": {"gammas": []}}, [], id="empty-gammas"),
+            pytest.param({"thresholds": {"aspect_range": [5, 2]}}, [], id="reversed-aspect-range"),
+            pytest.param({"thresholds": {"aspect_range": [math.nan, 12]}}, [], id="nan-aspect-range"),
+            # below about 3.3e-5 the smooth-L1 check skips every draw and never ends
+            pytest.param({"loss_check": {"beta": math.nextafter(MIN_CHECK_BETA, 0.0)}}, [], id="check-beta-below-bound"),
+            pytest.param({"loss_check": {"beta": math.nextafter(MAX_EXTENT, math.inf)}}, [], id="check-beta-above-bound"),
+            pytest.param({"loss_check": {"beta": math.nan}}, [], id="check-beta-nan"),
+            pytest.param({"loss_check": {"tau": math.nan}}, [], id="check-tau-nan"),
+            pytest.param({"loss_check": {"tau": math.inf}}, [], id="check-tau-inf"),
+            pytest.param({"loss_check": {"focal_alpha": math.nan}}, [], id="check-focal-alpha-nan"),
+            pytest.param({"loss_check": {"focal_gamma": -math.inf}}, [], id="check-focal-gamma-inf"),
         ],
     )
     def test_unknown_config_key_exits_2(self, tmp_path, payload, flags):
@@ -506,9 +518,40 @@ class TestLossCheckCommand:
             assert run_cli(["loss-check", "--out", out, "--seed", "21", "--iterations", "40"]) == EXIT_OK
         assert read_tree(out1) == read_tree(out2)
 
-    @pytest.mark.parametrize("flags", [["--tau", "0"], ["--iterations", "0"]])
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--tau", "0"],
+            ["--iterations", "0"],
+            ["--tau", "nan"],
+            ["--schedule", "constant", "--constant-s", "nan"],
+            ["--schedule", "constant", "--constant-s", "inf"],
+        ],
+    )
     def test_invalid_flag_exits_2(self, tmp_path, flags):
         assert run_cli(["loss-check", "--out", tmp_path / "o", *flags]) == EXIT_CONFIG
+        assert not (tmp_path / "o").exists()
+
+    def test_smallest_beta_keeps_draws(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"loss_check": {"beta": MIN_CHECK_BETA, "points": 50}}))
+        assert run_cli(["loss-check", "--config", path, "--out", tmp_path / "o", "--iterations", "2"]) == EXIT_OK
+        path.write_text(json.dumps({"loss_check": {"beta": MAX_EXTENT}}))
+        assert load_run_config(path).loss_check.beta == MAX_EXTENT
+
+    def test_nan_error_fails_the_self_check(self, tmp_path, capsys, monkeypatch):
+        check = cli.gradient_check
+
+        def nan_focal(*args):
+            report = check(*args)
+            report["focal"]["max_relative_error"] = math.nan
+            return report
+
+        monkeypatch.setattr(cli, "gradient_check", nan_focal)
+        assert run_cli(["loss-check", "--out", tmp_path, "--iterations", "2"]) == EXIT_SELFCHECK
+        assert "self-check failed for focal" in capsys.readouterr().err
+        report = json.loads((tmp_path / "gradient_check.json").read_text())
+        assert report["passed"] is False and report["offenders"] == ["focal"]
 
 
 class TestIouCommand:
@@ -542,6 +585,19 @@ class TestIouCommand:
         first = capsys.readouterr().out
         assert run_cli(args) == EXIT_OK
         assert capsys.readouterr().out == first
+
+    def test_box_past_the_extent_bound_is_usage_error(self, capsys, tmp_path):
+        # at 1e160 the areas overflow and the IoU would print as 0
+        big = ["0", "0", "1e160", "1e160", "0"]
+        assert run_cli(["iou", *big, *big[:4], "0.3", "--out", tmp_path]) == EXIT_CONFIG
+        assert "must not exceed 2**508" in capsys.readouterr().err
+        bound = repr(MAX_EXTENT)
+        assert run_cli(["iou", "0", "0", "2", "1", "0", bound, bound, bound, "1", "0", "--out", tmp_path]) == EXIT_OK
+        assert run_cli(["iou", "0", "0", "2", "1", "0", "0", repr(2 * MAX_EXTENT), "2", "1", "0"]) == EXIT_CONFIG
+        large = ["0", "0", "1e150", "1e150", "0", "0", "0", "1e150", "1e150", "0.3"]
+        capsys.readouterr()
+        assert run_cli(["iou", *large, "--out", tmp_path]) == EXIT_OK
+        assert capsys.readouterr().out == "0.799452\n"
 
     def test_wrong_arity_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
@@ -659,6 +715,14 @@ class TestCfsDemoCommand:
             "cfs-demo", "--features", empty, "--out", tmp_path / "o",
             "--box", "8", "8", "4", "2", "0",
         ]) == EXIT_DATA
+
+    @pytest.mark.parametrize("stride", ["1e-320", "nan", "inf"])
+    def test_stride_that_leaves_the_feature_cells_is_usage_error(self, tmp_path, capsys, feature_file, stride):
+        path, _ = feature_file
+        code = run_cli(["cfs-demo", "--features", path, "--out", tmp_path / "o", "--stride", stride,
+                        "--box", "40", "40", "30", "20", "0.7"])
+        assert code == EXIT_CONFIG
+        assert "--stride must" in capsys.readouterr().err
 
     def test_byte_identical_reruns(self, tmp_path, feature_file):
         path, _ = feature_file

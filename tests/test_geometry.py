@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from obblab.geometry import (
     ConvexQuad,
@@ -19,11 +19,12 @@ from obblab.geometry import (
     quad_to_obb,
     rotated_iou,
     signed_area,
-    _box_corners,
+    _box_frame,
     _clip_polygon,
     _clip_rows,
+    _corners,
     _iou,
-    _ious_against_squares,
+    _ious_between,
     _merge_close,
 )
 
@@ -364,6 +365,20 @@ def as_bits(values) -> np.ndarray:
     return np.asarray(values, dtype=float).reshape(-1).view(np.int64)
 
 
+def frame_columns(boxes) -> np.ndarray:
+    """The `_box_frame` of each box, as six columns of one box per row."""
+    return np.array([_box_frame(b) for b in boxes]).reshape(-1, 6).T
+
+
+def square_ious(boxes, owner, centers, sides):
+    """`_ious_between` of boxes[owner[i]] against the axis-aligned square of
+    center centers[i] and side sides[i], as the assignment passes anchors."""
+    half = 0.5 * sides
+    squares = (centers[:, 0], centers[:, 1], math.cos(0.0), math.sin(0.0), half, half)
+    areas = np.array([b.area for b in boxes])
+    return _ious_between(frame_columns(boxes)[:, owner], areas[owner], squares, sides * sides)
+
+
 def batched_clip(subjects, clip):
     """`_clip_polygon(subject, clip)` of each subject, through `_clip_rows`."""
     n = len(subjects)
@@ -381,15 +396,40 @@ def batched_clip(subjects, clip):
     return [src[:, 1 : c + 1, row].T.tolist() for row, c in enumerate(count)]
 
 
+@st.composite
+def box_pairs(draw):
+    """Two rotated boxes: drawn freely, sharing a center, or the second a
+    box of 1e-6 px on a corner of the first, exactly or jittered."""
+    a = draw(BOXES)
+    kind = draw(st.sampled_from(["free", "shared-center", "tiny-on-corner"]))
+    if kind == "free":
+        return a, draw(BOXES)
+    if kind == "shared-center":
+        b = draw(BOXES)
+        return a, normalize_obb(a.cx, a.cy, b.w, b.h, b.theta)
+    x, y = (v + draw(st.sampled_from([0.0, 1e-9, -5e-7])) for v in _corners(_box_frame(a))[draw(st.integers(0, 3))])
+    return a, normalize_obb(x, y, draw(st.floats(1e-6, 2e-6)), 1e-6, draw(st.floats(-4, 4)))
+
+
 class TestBatchedClipping:
-    """The scene-wide clipping kernel against the scalar clipper, bit for bit."""
+    """The clipping kernel against the scalar clipper, bit for bit."""
+
+    @given(pairs=st.lists(box_pairs(), min_size=1, max_size=6))
+    @example(pairs=[(normalize_obb(3, 4, 10, 2, 0.3), normalize_obb(3, 4, 10, 2, 0.3))])
+    @settings(max_examples=300, deadline=None)
+    def test_rotated_pairs_match_scalar_in_both_orders(self, pairs):
+        rows = pairs + [(b, a) for a, b in pairs]
+        subjects, clips = zip(*rows)
+        areas = [np.array([box.area for box in boxes]) for boxes in (subjects, clips)]
+        got = _ious_between(frame_columns(subjects), areas[0], frame_columns(clips), areas[1])
+        assert np.array_equal(as_bits(got), as_bits([_iou(a, b) for a, b in rows]))
 
     def test_rows_in_any_owner_order(self):
         boxes = [normalize_obb(10, 12, 30, 9, 0.4), normalize_obb(40, 35, 20, 20, 0.1)]
         owner = np.array([1, 0, 0, 1, 1, 0])
         centers = np.array([[36.0, 36.0], [4.0, 4.0], [12.0, 12.0], [44.0, 28.0], [200.0, 200.0], [12.0, 12.0]])
         sides = np.array([32.0, 32.0, 16.0, 32.0, 32.0, 64.0])
-        got = _ious_against_squares(boxes, owner, centers, sides)
+        got = square_ious(boxes, owner, centers, sides)
         want = [
             _iou(boxes[g], OrientedBox(cx, cy, side, side, 0.0))
             for g, (cx, cy), side in zip(owner.tolist(), centers.tolist(), sides.tolist())
@@ -399,11 +439,11 @@ class TestBatchedClipping:
     def test_disjoint_rows_clip_to_nothing(self):
         boxes = [normalize_obb(0, 0, 4, 2, 0.3)]
         centers = np.array([[100.0, 0.0], [0.0, -50.0], [1e6, 1e6]])
-        got = _ious_against_squares(boxes, np.zeros(3, dtype=int), centers, np.full(3, 8.0))
+        got = square_ious(boxes, np.zeros(3, dtype=int), centers, np.full(3, 8.0))
         assert np.array_equal(as_bits(got), as_bits([0.0, 0.0, 0.0]))
 
     def test_no_rows(self):
-        got = _ious_against_squares([], np.zeros(0, dtype=int), np.zeros((0, 2)), np.zeros(0))
+        got = square_ious([], np.zeros(0, dtype=int), np.zeros((0, 2)), np.zeros(0))
         assert got.shape == (0,)
 
     def test_last_vertex_repeating_the_first_is_popped(self):
@@ -413,11 +453,11 @@ class TestBatchedClipping:
         # off the end, which changes the area's last bits
         box = OrientedBox(31.22464600690352, 20.0, 10.0, 4.0, -0.1)
         square = OrientedBox(20.0, 20.0, 32.0, 32.0, 0.0)
-        clipped = _clip_polygon(_box_corners(box), _box_corners(square))
+        clipped = _clip_polygon(_corners(_box_frame(box)), _corners(_box_frame(square)))
         merged = _merge_close(clipped)
         assert merged == clipped[:-1] and clipped[0] != clipped[-1]
         assert signed_area(merged) != signed_area(clipped)
-        got = _ious_against_squares([box], np.zeros(1, dtype=int), np.array([[20.0, 20.0]]), np.array([32.0]))
+        got = square_ious([box], np.zeros(1, dtype=int), np.array([[20.0, 20.0]]), np.array([32.0]))
         assert np.array_equal(as_bits(got), as_bits([_iou(box, square)]))
 
     def test_parallel_crossing_with_zero_denominator(self):
