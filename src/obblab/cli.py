@@ -59,6 +59,7 @@ from .sampling import (
     sampling_pattern,
 )
 from .scenes import (
+    UNIFORM,
     SceneSpec,
     from_dict,
     generate_scene,
@@ -87,13 +88,14 @@ _DEFAULT_CONSTANT_S = 1.0
 # The largest sizes a configuration may ask for, checked before anything is
 # allocated. A 20,000 px image at the default strides has 8.3M anchors.
 MAX_ANCHORS = 10_000_000
+MAX_OBJECTS = 100_000  # per scene: scene.object_count, or aspect_bins x angle_bins in a grid sweep
 MAX_SURFACE_CELLS = 1_000_000  # thresholds.aspect_count x angle_count
-MAX_CHECK_POINTS = 1_000_000  # loss_check.points
+MAX_CHECK_POINTS = 1_000_000  # each of loss_check.points and loss_check.iterations
+MAX_ORACLE_SAMPLES = 1_000_000_000  # iou --oracle; costs only time, about 40 s on a 2-core VM
 
-# The smallest loss_check.beta. The smooth-L1 check draws x in [-4 beta,
-# 4 beta] and skips each x within 1e-4 of the knee: at this bound it keeps
-# half its draws, and below about 3.3e-5 none.
-MIN_CHECK_BETA = 1e-4
+# The smallest loss_check.beta. The smooth-L1 check squares draws of size
+# beta, and from this bound up the squares stay in the normal float range.
+MIN_CHECK_BETA = 1.0 / MAX_EXTENT
 
 
 class ConfigError(ValueError):
@@ -158,12 +160,12 @@ class LossCheckConfig:
     focal_gamma: float = MultiTaskLossConfig.focal_gamma
 
     def __post_init__(self) -> None:
-        if self.iterations < 1 or not 1 <= self.points <= MAX_CHECK_POINTS or self.tau <= 0 or self.beta <= 0:
-            raise ValueError(f"iterations, tau and beta must be positive, and points in [1, {MAX_CHECK_POINTS}]")
-        if not all(map(math.isfinite, (self.tau, self.beta, self.focal_alpha, self.focal_gamma))):
-            raise ValueError("tau, beta, focal_alpha and focal_gamma must be finite")
+        if not (1 <= self.iterations <= MAX_CHECK_POINTS and 1 <= self.points <= MAX_CHECK_POINTS and self.tau > 0):
+            raise ValueError(f"iterations and points must lie in [1, {MAX_CHECK_POINTS}], and tau must be positive")
         if not MIN_CHECK_BETA <= self.beta <= MAX_EXTENT:
-            raise ValueError(f"beta must lie in [{MIN_CHECK_BETA}, 2**508]")
+            raise ValueError("beta must lie in [2**-508, 2**508]")
+        if not (0.0 <= self.focal_alpha <= 1.0 and self.focal_gamma >= 0.0):  # the focal loss's domain
+            raise ValueError("focal_alpha must lie in [0, 1] and focal_gamma must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -188,6 +190,10 @@ class RunConfig:
     def __post_init__(self) -> None:
         if sum(w * h for w, h in self.anchors.level_shapes(self.scene.image_size)) > MAX_ANCHORS:
             raise ValueError(f"scene.image_size and anchors.strides give more than {MAX_ANCHORS} anchors")
+        scene = self.scene
+        objects = scene.object_count if scene.placement == UNIFORM else scene.aspect_bins * scene.angle_bins
+        if objects > MAX_OBJECTS:
+            raise ValueError(f"scene.object_count, or aspect_bins x angle_bins in a grid sweep, must not exceed {MAX_OBJECTS}")
 
     @property
     def gammas(self) -> tuple[float, ...]:
@@ -229,9 +235,10 @@ _STATS_HEADER = (
 )
 
 
-def load_run_config(path: str | None) -> RunConfig:
-    """Parse the JSON configuration (all sections optional) and reject
-    anything it does not understand."""
+def load_run_config(path: str | None, overrides: dict | None = None) -> RunConfig:
+    """Parse the JSON configuration (all sections optional) with the
+    ``{section: {key: value}}`` of ``overrides`` laid over its sections, and
+    reject anything it does not understand."""
     data: dict = {}
     if path is not None:
         try:
@@ -241,34 +248,15 @@ def load_run_config(path: str | None) -> RunConfig:
             raise ConfigError(f"cannot read config: {exc}") from None
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from None
+    if isinstance(data, dict):
+        data.pop("schema_version", None)  # accepted, as in the files the CLI writes
+        for section, values in (overrides or {}).items():
+            given = data.get(section, {})
+            data[section] = {**given, **values} if isinstance(given, dict) else given
     try:
-        if isinstance(data, dict):
-            data.pop("schema_version", None)  # accepted, as in the files the CLI writes
         return from_dict(RunConfig, data, "config")
     except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(str(exc)) from None
-
-
-def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
-    try:
-        mas = cfg.mas
-        if getattr(args, "gamma", None) is not None:
-            mas = replace(mas, gamma=args.gamma)
-            cfg = replace(cfg, thresholds=replace(cfg.thresholds, gammas=(args.gamma,)))
-        if getattr(args, "raw_lambda", False):
-            mas = replace(mas, raw_lambda=True)
-        if getattr(args, "lambda_mode", None) is not None:
-            mas = replace(mas, lambda_mode=args.lambda_mode)
-        cfg = replace(cfg, mas=mas)
-        if getattr(args, "scenes", None) is not None:
-            cfg = replace(cfg, stats=StatsConfig(scenes=args.scenes))
-        if getattr(args, "image_size", None) is not None:
-            cfg = replace(cfg, scene=replace(cfg.scene, image_size=tuple(args.image_size)))
-        loss_flags = {k: getattr(args, k) for k in ("iterations", "tau") if getattr(args, k, None) is not None}
-        cfg = replace(cfg, loss_check=replace(cfg.loss_check, **loss_flags))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    return cfg
 
 
 def _out_dir(args: argparse.Namespace) -> Path:
@@ -455,15 +443,16 @@ def cmd_thresholds(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 def gradient_check(seed: int, points: int, beta: float, focal_alpha: float, focal_gamma: float):
     """Max relative error of the analytic gradients against central
-    differences. Points within 1e-4 of the smooth-L1 knee (or within one
-    difference step of zero) are skipped."""
+    differences. The smooth-L1 step is 1e-6 beta, and its points within
+    1e-4 beta of the knee (or within one step of zero) are skipped; the
+    focal step is 1e-6."""
     rng = np.random.default_rng(seed)
-    step = 1e-6
+    step = 1e-6 * beta
 
     xs = []
     while len(xs) < points:
         x = float(rng.uniform(-4.0 * beta, 4.0 * beta))
-        if abs(abs(x) - beta) < 1e-4 or abs(x) < step:
+        if abs(abs(x) - beta) < 1e-4 * beta or abs(x) < step:
             continue
         xs.append(x)
     xs = np.array(xs)
@@ -474,6 +463,7 @@ def gradient_check(seed: int, points: int, beta: float, focal_alpha: float, foca
 
     ps = rng.uniform(0.001, 0.999, points)
     ts = (np.arange(points) % 2 == 0).astype(int)
+    step = 1e-6
     fd = (focal_loss(ps + step, ts, focal_alpha, focal_gamma) - focal_loss(ps - step, ts, focal_alpha, focal_gamma)) / (2.0 * step)
     ana = focal_loss_grad(ps, ts, focal_alpha, focal_gamma)
     focal_rel = np.abs(ana - fd) / np.maximum(np.abs(fd), 1e-12)
@@ -588,8 +578,8 @@ def cmd_iou(args: argparse.Namespace, cfg: RunConfig) -> int:
     box_b = _flag_box(args.box[5:])
     print(f"{rotated_iou(box_a, box_b):.6f}")
     if args.oracle is not None:
-        if args.oracle < 1:
-            raise ConfigError("--oracle must be >= 1")
+        if not 1 <= args.oracle <= MAX_ORACLE_SAMPLES:
+            raise ConfigError(f"--oracle must lie in [1, {MAX_ORACLE_SAMPLES}]")
         estimate = mc_iou_oracle(box_a, box_b, args.oracle, args.seed)
         print(f"oracle(n={args.oracle}): {estimate:.6f}")
     return EXIT_OK
@@ -703,11 +693,13 @@ def cmd_cfs_demo(args: argparse.Namespace, cfg: RunConfig) -> int:
         raise ConfigError("--shrink must lie in [0, 1)")
     if not 0.0 < args.stride < math.inf:
         raise ConfigError("--stride must be positive and finite")
-    cell = (box.cx / args.stride, box.cy / args.stride)
-    if not all(map(math.isfinite, cell)):
-        raise ConfigError("--stride must keep the box center finite in feature cells")
     pattern = sampling_pattern(box, offsets, args.shrink)
-    p0 = tuple(map(math.floor, cell))
+    coordinates = (box.cx, box.cy, *pattern.refined_points.ravel().tolist())
+    # Python floats, so an overflow to inf raises no warning; 2**508 keeps the
+    # offsets (point - p0 - tap, in cells) finite as well.
+    if not all(abs(v / args.stride) <= MAX_EXTENT for v in coordinates):
+        raise ConfigError("--stride must keep the box center and sampling points within 2**508 feature cells")
+    p0 = (math.floor(box.cx / args.stride), math.floor(box.cy / args.stride))
     field = dcn_offset_field(pattern.refined_points, p0, args.stride)
     kernel = _demo_kernel(args.kernel, grid.channels, args.seed)
     value = deformable_sample(grid, kernel, p0, field)
@@ -748,23 +740,25 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", default="obblab-out", help="output directory")
 
     sub = parser.add_subparsers(dest="command", required=True)
+    # A flag whose dest holds a dot sets that config key.
+    raw_help = "debug: keep the signed angle weight"
 
     p_stats = sub.add_parser("stats", parents=[common], help="positive-sample statistics over synthetic scenes")
     p_stats.add_argument("--strategy", choices=STRATEGIES, default="mas")
-    p_stats.add_argument("--scenes", type=int, default=None, help="number of scenes (overrides config)")
-    p_stats.add_argument("--gamma", type=float, default=None)
-    p_stats.add_argument("--raw-lambda", action="store_true", help="debug: keep the signed angle weight")
+    p_stats.add_argument("--scenes", dest="stats.scenes", type=int, help="number of scenes")
+    p_stats.add_argument("--gamma", dest="mas.gamma", type=float)
+    p_stats.add_argument("--raw-lambda", dest="mas.raw_lambda", action="store_const", const=True, help=raw_help)
     p_stats.set_defaults(func=cmd_stats)
 
     p_thr = sub.add_parser("thresholds", parents=[common], help="shape-weight and threshold surfaces")
-    p_thr.add_argument("--gamma", type=float, default=None, help="single gamma (overrides config list)")
-    p_thr.add_argument("--lambda-mode", choices=(ANGLE_DEPENDENT, CONSTANT_ONE), default=None)
-    p_thr.add_argument("--raw-lambda", action="store_true", help="debug: keep the signed angle weight")
+    p_thr.add_argument("--gamma", dest="mas.gamma", type=float, help="single gamma (replaces the config list)")
+    p_thr.add_argument("--lambda-mode", dest="mas.lambda_mode", choices=(ANGLE_DEPENDENT, CONSTANT_ONE))
+    p_thr.add_argument("--raw-lambda", dest="mas.raw_lambda", action="store_const", const=True, help=raw_help)
     p_thr.set_defaults(func=cmd_thresholds)
 
     p_loss = sub.add_parser("loss-check", parents=[common], help="gradient self-checks and beta trajectory")
-    p_loss.add_argument("--iterations", type=int, default=None)
-    p_loss.add_argument("--tau", type=float, default=None)
+    p_loss.add_argument("--iterations", dest="loss_check.iterations", type=int)
+    p_loss.add_argument("--tau", dest="loss_check.tau", type=float)
     p_loss.add_argument("--schedule", choices=("improving", "constant"), default=_DEFAULT_SCHEDULE)
     p_loss.add_argument(
         "--constant-s", type=float, default=_DEFAULT_CONSTANT_S, help="similarity for --schedule constant"
@@ -780,9 +774,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_assign.add_argument("annotations", help="annotation text file")
     p_assign.add_argument("--strategy", choices=STRATEGIES, default="mas")
     p_assign.add_argument("--include-difficult", action="store_true")
-    p_assign.add_argument("--gamma", type=float, default=None)
-    p_assign.add_argument("--raw-lambda", action="store_true")
-    p_assign.add_argument("--image-size", type=int, nargs=2, default=None, metavar=("W", "H"))
+    p_assign.add_argument("--gamma", dest="mas.gamma", type=float)
+    p_assign.add_argument("--raw-lambda", dest="mas.raw_lambda", action="store_const", const=True, help=raw_help)
+    p_assign.add_argument("--image-size", dest="scene.image_size", type=int, nargs=2, metavar=("W", "H"))
     p_assign.set_defaults(func=cmd_assign_file)
 
     p_demo = sub.add_parser("cfs-demo", parents=[common], help="sampling-pattern and deformable-sampling dump")
@@ -798,10 +792,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    overrides: dict = {}
+    for dest, value in vars(args).items():
+        if "." in dest and value is not None:
+            section, key = dest.split(".")
+            overrides.setdefault(section, {})[key] = value
+    if "gamma" in overrides.get("mas", {}):
+        overrides.setdefault("thresholds", {})["gammas"] = None  # so they follow mas.gamma
     try:
-        return args.func(args, _apply_overrides(load_run_config(args.config), args))
+        return args.func(args, load_run_config(args.config, overrides))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

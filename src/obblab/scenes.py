@@ -312,6 +312,8 @@ def _coerce(value, default, context: str, fixed: bool = False):
         return value
     kind = type(default)
     if kind in (int, float) and type(value) in (int, float):
+        if not math.isfinite(value):
+            raise ValueError(f"{context} must be finite, got {value!r}")
         if kind is int and isinstance(value, float) and not value.is_integer():
             raise ValueError(f"{context} must be an integer, got {value!r}")
         return kind(value)

@@ -1,12 +1,13 @@
 import json
 import math
+import tempfile
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from obblab.assignment import ANGLE_DEPENDENT, CONSTANT_ONE, MasConfig, iou_statistics, saturating_exp, shape_exponent
 
@@ -18,19 +19,22 @@ from obblab.cli import (
     EXIT_SELFCHECK,
     MAX_ANCHORS,
     MAX_CHECK_POINTS,
+    MAX_OBJECTS,
+    MAX_ORACLE_SAMPLES,
     MAX_SURFACE_CELLS,
     MIN_CHECK_BETA,
     STRATEGIES,
     ConfigError,
     RunConfig,
     ThresholdsConfig,
+    build_parser,
     load_run_config,
     main,
     read_csv,
     threshold_surface,
 )
 from obblab.geometry import MAX_EXTENT
-from obblab.scenes import MAX_BINS
+from obblab.scenes import MAX_BINS, from_dict
 
 FIXTURE = Path(__file__).parent / "data" / "dota_sample.txt"
 
@@ -106,7 +110,7 @@ class TestStatsCommand:
             pytest.param({"thresholds": {"gammas": []}}, [], id="empty-gammas"),
             pytest.param({"thresholds": {"aspect_range": [5, 2]}}, [], id="reversed-aspect-range"),
             pytest.param({"thresholds": {"aspect_range": [math.nan, 12]}}, [], id="nan-aspect-range"),
-            # below about 3.3e-5 the smooth-L1 check skips every draw and never ends
+            # below 2**-508 the squares of the smooth-L1 check's draws leave the normal range
             pytest.param({"loss_check": {"beta": math.nextafter(MIN_CHECK_BETA, 0.0)}}, [], id="check-beta-below-bound"),
             pytest.param({"loss_check": {"beta": math.nextafter(MAX_EXTENT, math.inf)}}, [], id="check-beta-above-bound"),
             pytest.param({"loss_check": {"beta": math.nan}}, [], id="check-beta-nan"),
@@ -114,6 +118,19 @@ class TestStatsCommand:
             pytest.param({"loss_check": {"tau": math.inf}}, [], id="check-tau-inf"),
             pytest.param({"loss_check": {"focal_alpha": math.nan}}, [], id="check-focal-alpha-nan"),
             pytest.param({"loss_check": {"focal_gamma": -math.inf}}, [], id="check-focal-gamma-inf"),
+            # outside the focal loss's domain they overflowed and wrote NaN
+            pytest.param({"loss_check": {"focal_alpha": 1e308}}, [], id="check-focal-alpha-above-one"),
+            pytest.param({"loss_check": {"focal_gamma": -500}}, [], id="check-focal-gamma-negative"),
+            # every config number must be finite; these crashed, failed a
+            # self-check or wrote nan thresholds
+            pytest.param({"scene": {"aspect_range": [1, math.inf]}}, [], id="scene-aspect-range-inf"),
+            pytest.param({"scene": {"scale_range": [24, math.inf]}}, [], id="scene-scale-range-inf"),
+            pytest.param({"thresholds": {"aspect_range": [1, math.inf]}}, [], id="thresholds-aspect-range-inf"),
+            pytest.param({"mas": {"gamma": math.inf}}, [], id="mas-gamma-inf"),
+            pytest.param({"thresholds": {"gammas": [math.inf]}}, [], id="thresholds-gammas-inf"),
+            pytest.param({"thresholds": {"candidate_ious": [math.nan]}}, [], id="candidate-ious-nan"),
+            pytest.param({}, ["--gamma", "inf"], id="gamma-flag-inf"),
+            pytest.param({}, ["--scenes", "0"], id="scenes-flag-zero"),
         ],
     )
     def test_unknown_config_key_exits_2(self, tmp_path, payload, flags):
@@ -122,22 +139,37 @@ class TestStatsCommand:
         assert run_cli(["stats", "--config", bad, "--out", tmp_path / "o", *flags]) == EXIT_CONFIG
 
     @pytest.mark.parametrize(
-        "command, payload, message",
+        "argv, payload, message",
         [
             pytest.param(
-                "thresholds", {"thresholds": {"gammas": ["a"]}},
+                ["thresholds"], {"thresholds": {"gammas": ["a"]}},
                 "thresholds.gammas must be a JSON number, got 'a'", id="gamma-item-not-a-number",
             ),
             pytest.param(
-                "stats", {"anchors": {"strides": [16, 8]}},
+                ["stats"], {"anchors": {"strides": [16, 8]}},
                 "anchors: strides must be positive and ascending", id="anchors-prefix",
+            ),
+            pytest.param(
+                ["thresholds"], {"thresholds": {"candidate_ious": [0.5, math.nan]}},
+                "thresholds.candidate_ious must be finite, got nan", id="nan-list-item",
+            ),
+            pytest.param(["thresholds", "--gamma", "inf"], {}, "mas.gamma must be finite, got inf", id="inf-flag"),
+            pytest.param(
+                ["loss-check", "--tau", "0"], {},
+                "loss_check: iterations and points must lie in [1, ", id="flag-out-of-range",
+            ),
+            # a flag over a section that is not an object
+            pytest.param(["thresholds", "--gamma", "3"], {"mas": 5}, "mas must be a JSON object", id="flag-over-number"),
+            pytest.param(
+                ["thresholds", "--gamma", "3"], {"thresholds": [4]}, "thresholds must be a JSON object",
+                id="gamma-flag-over-list",
             ),
         ],
     )
-    def test_config_error_names_the_key(self, tmp_path, capsys, command, payload, message):
+    def test_config_error_names_the_key(self, tmp_path, capsys, argv, payload, message):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(payload))
-        assert run_cli([command, "--config", bad, "--out", tmp_path / "o"]) == EXIT_CONFIG
+        assert run_cli([*argv, "--config", bad, "--out", tmp_path / "o"]) == EXIT_CONFIG
         assert message in capsys.readouterr().err
 
     def test_invalid_strategy_usage_error(self, tmp_path):
@@ -252,7 +284,20 @@ def test_widest_angle_range_runs_clean_and_a_wider_one_is_rejected(tmp_path, cap
         ),
         pytest.param(
             {"loss_check": {"points": MAX_CHECK_POINTS}}, {"loss_check": {"points": MAX_CHECK_POINTS + 1}},
-            r"loss_check: iterations, tau and beta must be positive, and points in \[1, ", id="check-points",
+            r"loss_check: iterations and points must lie in \[1, ", id="check-points",
+        ),
+        pytest.param(
+            {"loss_check": {"iterations": MAX_CHECK_POINTS}}, {"loss_check": {"iterations": MAX_CHECK_POINTS + 1}},
+            r"loss_check: iterations and points must lie in \[1, ", id="check-iterations",
+        ),
+        pytest.param(
+            {"scene": {"object_count": MAX_OBJECTS}}, {"scene": {"object_count": MAX_OBJECTS + 1}},
+            "scene.object_count, or aspect_bins x angle_bins in a grid sweep, must not exceed", id="objects",
+        ),
+        pytest.param(
+            {"scene": {"placement": "grid-sweep", "aspect_bins": MAX_OBJECTS // 10, "angle_bins": 10}},
+            {"scene": {"placement": "grid-sweep", "aspect_bins": MAX_OBJECTS // 10, "angle_bins": 11}},
+            "scene.object_count, or aspect_bins x angle_bins in a grid sweep, must not exceed", id="grid-sweep-objects",
         ),
     ],
 )
@@ -280,6 +325,9 @@ def test_a_20000_px_image_fits_the_anchor_cap(tmp_path):
         ("stats", {"scene": {"aspect_bins": 1e9}}),
         ("thresholds", {"thresholds": {"aspect_count": 1e9}}),
         ("loss-check", {"loss_check": {"points": 1e9}}),
+        ("stats", {"scene": {"object_count": 1e9}}),
+        ("stats", {"scene": {"placement": "grid-sweep", "aspect_bins": MAX_BINS, "angle_bins": MAX_BINS}}),
+        ("loss-check", {"loss_check": {"iterations": 1e9}}),
     ],
 )
 def test_sizes_that_cannot_be_allocated_exit_2_before_any_work(tmp_path, capsys, command, config):
@@ -454,6 +502,22 @@ def test_documented_config_keys_load_as_defaults(tmp_path):
     assert all(type(s) is float for s in cfg.anchors.strides)
 
 
+def test_every_flag_dest_with_a_dot_is_a_config_key():
+    # main lays such flags over the file's sections, so from_dict must
+    # accept each one as a key of its section
+    subcommands = next(a for a in build_parser()._actions if a.dest == "command").choices
+    dests = {a.dest for p in subcommands.values() for a in p._actions if "." in a.dest}
+    assert dests == {
+        "mas.gamma", "mas.raw_lambda", "mas.lambda_mode", "stats.scenes", "scene.image_size",
+        "loss_check.iterations", "loss_check.tau",
+    }
+    defaults = RunConfig()
+    for dest in sorted(dests):
+        section, key = dest.split(".")
+        value = getattr(getattr(defaults, section), key)
+        assert from_dict(RunConfig, {section: {key: value}}, "config") == defaults, dest
+
+
 class TestSmallGamma:
     """Gammas so small that the shape weight's exp over- or underflows."""
 
@@ -539,6 +603,15 @@ class TestLossCheckCommand:
         path.write_text(json.dumps({"loss_check": {"beta": MAX_EXTENT}}))
         assert load_run_config(path).loss_check.beta == MAX_EXTENT
 
+    @pytest.mark.parametrize("beta", [MIN_CHECK_BETA, 1e-3, 1e5, 1e100, 2e152, MAX_EXTENT])
+    def test_check_passes_over_the_whole_beta_range(self, tmp_path, beta):
+        # a fixed difference step and knee band failed from beta = 1e5 up
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"loss_check": {"beta": beta, "points": 200}}))
+        assert run_cli(["loss-check", "--config", path, "--out", tmp_path / "o", "--iterations", "2"]) == EXIT_OK
+        report = json.loads((tmp_path / "o" / "gradient_check.json").read_text())
+        assert report["smooth_l1"]["max_relative_error"] < 1e-7
+
     def test_nan_error_fails_the_self_check(self, tmp_path, capsys, monkeypatch):
         check = cli.gradient_check
 
@@ -598,6 +671,12 @@ class TestIouCommand:
         capsys.readouterr()
         assert run_cli(["iou", *large, "--out", tmp_path]) == EXIT_OK
         assert capsys.readouterr().out == "0.799452\n"
+
+    @pytest.mark.parametrize("samples", [0, MAX_ORACLE_SAMPLES + 1, 100_000_000_000])
+    def test_oracle_sample_count_outside_its_range_is_usage_error(self, capsys, tmp_path, samples):
+        args = ["iou", "0", "0", "1", "1", "0", "0", "0", "1", "1", "0", "--oracle", samples, "--out", tmp_path]
+        assert run_cli(args) == EXIT_CONFIG
+        assert f"--oracle must lie in [1, {MAX_ORACLE_SAMPLES}]" in capsys.readouterr().err
 
     def test_wrong_arity_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
@@ -716,11 +795,19 @@ class TestCfsDemoCommand:
             "--box", "8", "8", "4", "2", "0",
         ]) == EXIT_DATA
 
-    @pytest.mark.parametrize("stride", ["1e-320", "nan", "inf"])
-    def test_stride_that_leaves_the_feature_cells_is_usage_error(self, tmp_path, capsys, feature_file, stride):
+    @pytest.mark.parametrize(
+        "stride, box",
+        [
+            ("1e-320", ["40", "40", "30", "20", "0.7"]),
+            ("nan", ["40", "40", "30", "20", "0.7"]),
+            ("inf", ["40", "40", "30", "20", "0.7"]),
+            # the centre fits, but the corner points overflowed in the offset field
+            ("1e-300", ["1", "1", "1e10", "1", "0"]),
+        ],
+    )
+    def test_stride_that_leaves_the_feature_cells_is_usage_error(self, tmp_path, capsys, feature_file, stride, box):
         path, _ = feature_file
-        code = run_cli(["cfs-demo", "--features", path, "--out", tmp_path / "o", "--stride", stride,
-                        "--box", "40", "40", "30", "20", "0.7"])
+        code = run_cli(["cfs-demo", "--features", path, "--out", tmp_path / "o", "--stride", stride, "--box", *box])
         assert code == EXIT_CONFIG
         assert "--stride must" in capsys.readouterr().err
 
@@ -751,3 +838,70 @@ def test_bad_command_line_box_is_usage_error(tmp_path, capsys, command):
     extra = ["--features", features] if command[0] == "cfs-demo" else []
     assert run_cli([*command, *extra, "--out", tmp_path / "o"]) == EXIT_CONFIG
     assert "box edges must be positive" in capsys.readouterr().err
+
+
+def numeric_config_fields():
+    """(section, key, default) of every numeric setting of the config file;
+    a list setting counts when its items are numbers."""
+    defaults = RunConfig()
+    found = []
+    for section in fields(RunConfig):
+        value = getattr(defaults, section.name)
+        for key in section.metadata.get("keys", [f.name for f in fields(value)]):
+            default = getattr(value, key)
+            if key == "gammas":
+                default = defaults.gammas  # None, which follows mas.gamma
+            item = default[0] if type(default) is tuple else default
+            if type(item) in (int, float):
+                found.append((section.name, key, default))
+    return found
+
+
+NUMERIC_FIELDS = numeric_config_fields()
+EXTREMES = [math.nan, math.inf, -math.inf, 1e308, -1e308, 5e-324, 0, -1]
+# Small enough that every subcommand finishes in milliseconds; a drawn value
+# replaces one of these. Large counts cost nothing: the caps reject them
+# before any work, except stats.scenes, which is drawn small.
+SMALL_CONFIG = {
+    "scene": {"image_size": [64, 48], "object_count": 3, "scale_range": [8.0, 20.0], "aspect_bins": 2, "angle_bins": 3},
+    "stats": {"scenes": 1},
+    "thresholds": {"aspect_count": 3, "angle_count": 4},
+    "loss_check": {"iterations": 3, "points": 16},
+}
+
+
+@given(
+    argv=st.sampled_from(
+        [["stats", "--strategy", s] for s in STRATEGIES] + [["thresholds"], ["loss-check"], ["assign-file"]]
+    ),
+    placement=st.sampled_from(["uniform", "grid-sweep"]),
+    edits=st.lists(
+        st.tuples(
+            st.sampled_from(NUMERIC_FIELDS),
+            st.integers(0, 1),
+            st.one_of(st.sampled_from(EXTREMES), st.integers(-2, 6), st.floats(-2.0, 6.0)),
+        ),
+        max_size=3,
+    ),
+)
+@settings(max_examples=150, deadline=None)
+def test_any_numeric_config_value_gives_a_documented_exit(argv, placement, edits):
+    config = json.loads(json.dumps(SMALL_CONFIG))
+    config["scene"]["placement"] = placement
+    for (section, key, default), index, value in edits:
+        assume(not ((section, key) == ("stats", "scenes") and value > 2))  # unbounded: costs time only
+        if type(default) is tuple:
+            items = list(config.get(section, {}).get(key, default))
+            items[min(index, len(items) - 1)] = value
+            value = items
+        config.setdefault(section, {})[key] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        path, annotations = Path(tmp) / "config.json", Path(tmp) / "annotations.txt"
+        path.write_text(json.dumps(config))
+        annotations.write_text("10 10 30 10 30 20 10 20 plane 0\n40 5 44 9 36 17 32 13 ship 0\n")
+        if argv == ["assign-file"]:
+            argv = ["assign-file", annotations]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli([*argv, "--config", path, "--out", Path(tmp) / "o"])
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_DATA, EXIT_SELFCHECK)
