@@ -254,7 +254,7 @@ def load_run_config(path: str | None, overrides: dict | None = None) -> RunConfi
             given = data.get(section, {})
             data[section] = {**given, **values} if isinstance(given, dict) else given
     try:
-        return from_dict(RunConfig, data, "config")
+        return from_dict(RunConfig, data, "config", prefix_checks=False)
     except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(str(exc)) from None
 
@@ -388,15 +388,19 @@ def threshold_surface(cfg: RunConfig, gamma: float):
 def verify_threshold_surface(aspects: np.ndarray, angles: np.ndarray, exponents: np.ndarray) -> list[str]:
     """The documented monotonicity relationships of the pre-clamp surface,
     checked on the shape weights' exponents: exp is monotone, and the
-    exponents keep their order where exp saturates to 0 or inf. Returns a
-    list of violation descriptions."""
+    exponents keep their order where exp saturates to 0 or inf. Rounding
+    is monotone too, so the exponents never increase with aspect; they must
+    fall strictly between aspects more than 1e-12 apart, relatively, unless
+    they overflowed. Returns a list of violation descriptions."""
     problems = []
-    if not np.all(np.diff(exponents, axis=0) < 0.0):
+    later, earlier = exponents[1:], exponents[:-1]
+    apart = (aspects[1:] - aspects[:-1] > 1e-12 * aspects[1:])[:, None] & np.isfinite(later)
+    if not (np.all(later <= earlier) and np.all(later[apart] < earlier[apart])):
         problems.append("shape weight is not strictly decreasing in aspect at fixed angle")
     dist = _equilibrium_distance(angles)
     order = np.argsort(dist, kind="stable")
     reordered = exponents[:, order]
-    if not np.all(np.diff(reordered, axis=1) <= 1e-12):
+    if not np.all(reordered[:, 1:] <= reordered[:, :-1] + 1e-12):  # no inf - inf where exponents saturate
         problems.append("shape weight increases with distance from the equilibrium angles")
     nearest = dist <= dist.min() + 1e-12
     row_max = exponents.max(axis=1)
@@ -663,15 +667,6 @@ def load_feature_grid(path) -> FeatureGrid:
     return FeatureGrid(values.reshape(height, width, channels))
 
 
-def _load_offsets(path) -> np.ndarray:
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
-    arr = np.asarray(data, dtype=float)
-    if arr.shape != (9, 2):
-        raise ValueError(f"offsets file must hold 9 [dx, dy] pairs, got shape {arr.shape}")
-    return arr
-
-
 def _demo_kernel(kind: str, channels: int, seed: int) -> np.ndarray:
     if kind == "delta":
         kernel = np.zeros((3, 3, channels))
@@ -688,7 +683,7 @@ def cmd_cfs_demo(args: argparse.Namespace, cfg: RunConfig) -> int:
     out = _out_dir(args)
     grid = load_feature_grid(args.features)
     box = _flag_box(args.box)
-    offsets = _load_offsets(args.offsets) if args.offsets else None
+    offsets = json.loads(Path(args.offsets).read_text(encoding="utf-8")) if args.offsets else None
     if not 0.0 <= args.shrink < 1.0:
         raise ConfigError("--shrink must lie in [0, 1)")
     if not 0.0 < args.stride < math.inf:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import OrientedBox, _box_frame
+from .geometry import MAX_EXTENT, OrientedBox, _box_frame
 
 # Regular 3x3 kernel taps in row-major order: (rx, ry) with ry the row.
 REGULAR_TAPS: tuple[tuple[int, int], ...] = (
@@ -39,22 +39,16 @@ _TAPS = np.array(REGULAR_TAPS, dtype=float)
 # that lands exactly on the regular grid produces an all-zero offset field.
 PATTERN_TAP_ORDER: tuple[int, ...] = (3, 8, 4, 7, 0, 5, 2, 6, 1)
 
-NUM_PATTERN_POINTS = 9
+NUM_PATTERN_POINTS = len(REGULAR_TAPS)
+
+# The pattern in half-edge units of the box frame: point PATTERN_TAP_ORDER[i]
+# sits at tap REGULAR_TAPS[i], so the pattern-to-tap correspondence is
+# stated once.
+_UNIT_PATTERN = np.empty((NUM_PATTERN_POINTS, 2))
+_UNIT_PATTERN[list(PATTERN_TAP_ORDER)] = _TAPS
 
 # Fraction by which a box's edges shrink before its points are placed.
 DEFAULT_SHRINK_FACTOR = 0.3
-
-
-@dataclass(frozen=True)
-class OffsetPair:
-    """Normalized point offset; displaces a point by (w * dx, h * dy)."""
-
-    dx: float
-    dy: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.dx) and math.isfinite(self.dy)):
-            raise ValueError("offsets must be finite")
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,7 +57,6 @@ class SamplingPattern:
 
     initial_points: np.ndarray
     refined_points: np.ndarray
-    source_box: OrientedBox
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,8 +76,8 @@ class DcnOffsetField:
 
     def __post_init__(self) -> None:
         offsets = np.asarray(self.offsets, dtype=float)
-        if offsets.shape != (len(REGULAR_TAPS), 2):
-            raise ValueError(f"expected {len(REGULAR_TAPS)} (dx, dy) tap offsets, got shape {offsets.shape}")
+        if offsets.shape != (NUM_PATTERN_POINTS, 2):
+            raise ValueError(f"expected {NUM_PATTERN_POINTS} (dx, dy) tap offsets, got shape {offsets.shape}")
         if not np.isfinite(offsets).all():
             raise ValueError("tap offsets must be finite")
         if len(self.p0) != 2 or not all(math.isfinite(v) for v in self.p0):
@@ -146,51 +139,45 @@ def initial_sampling_positions(box: OrientedBox) -> np.ndarray:
     center, and all lie inside or on the box.
     """
     cx, cy, c, s, hw, hh = _box_frame(box)
-    local = np.array(
-        [
-            (0.0, 0.0),
-            (hw, hh), (-hw, hh), (-hw, -hh), (hw, -hh),
-            (hw, 0.0), (0.0, hh), (-hw, 0.0), (0.0, -hh),
-        ]
-    )
     rot = np.array([[c, -s], [s, c]])
-    return local @ rot.T + np.array([cx, cy])
-
-
-def _as_offset_array(offsets) -> np.ndarray:
-    if isinstance(offsets, np.ndarray):
-        arr = offsets.astype(float)
-    else:
-        arr = np.array(
-            [(o.dx, o.dy) if isinstance(o, OffsetPair) else tuple(o) for o in offsets],
-            dtype=float,
-        )
-    if arr.shape != (NUM_PATTERN_POINTS, 2):
-        raise ValueError(f"expected {NUM_PATTERN_POINTS} (dx, dy) offsets, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("offsets must be finite")
-    return arr
+    return (_UNIT_PATTERN * (hw, hh)) @ rot.T + (cx, cy)
 
 
 def refine_positions(points: np.ndarray, box: OrientedBox, offsets) -> np.ndarray:
     """Displace each point by (w * dx, h * dy) of the *unshrunk* box, which
-    normalizes the offsets across object scales. Affine in the offsets."""
+    normalizes the offsets across object scales. Affine in the offsets.
+
+    ``offsets`` is anything ``np.array(offsets, dtype=float)`` turns into a
+    (9, 2) array of (dx, dy) rows, in pattern order. Other offsets, and
+    offsets that are not finite or move a point by more than 2**508 px,
+    raise ``ValueError``, without a warning.
+    """
     pts = np.asarray(points, dtype=float)
     if pts.shape != (NUM_PATTERN_POINTS, 2):
         raise ValueError(f"expected {NUM_PATTERN_POINTS} points, got shape {pts.shape}")
-    arr = _as_offset_array(offsets)
+    try:
+        arr = np.array(offsets, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:  # e.g. a mapping, a ragged list, an int past floats
+        raise ValueError(f"offsets must be (dx, dy) numbers: {exc}") from None
+    if arr.shape != (NUM_PATTERN_POINTS, 2):
+        raise ValueError(f"expected {NUM_PATTERN_POINTS} (dx, dy) offsets, got shape {arr.shape}")
+    # Python floats, so that an overflow to inf raises no warning
+    dx, dy = np.abs(arr).max(axis=0).tolist()
+    if not (dx * float(box.w) <= MAX_EXTENT and dy * float(box.h) <= MAX_EXTENT):  # also false for nan
+        raise ValueError("offsets must be finite and move each point by at most 2**508 px")
     return pts + arr * np.array([box.w, box.h])
 
 
 def sampling_pattern(box: OrientedBox, offsets=None, shrink_factor: float = DEFAULT_SHRINK_FACTOR) -> SamplingPattern:
     """Shrink, place the nine points, refine with the given offsets (zeros
-    when omitted). Offset scaling uses the original box dimensions."""
+    when omitted; see :func:`refine_positions`). Offset scaling uses the
+    original box dimensions."""
     initial = initial_sampling_positions(shrink_obb(box, shrink_factor))
     if offsets is None:
         refined = initial.copy()
     else:
         refined = refine_positions(initial, box, offsets)
-    return SamplingPattern(initial_points=initial, refined_points=refined, source_box=box)
+    return SamplingPattern(initial_points=initial, refined_points=refined)
 
 
 def dcn_offset_field(refined: np.ndarray, p0: tuple[float, float], stride: float) -> DcnOffsetField:

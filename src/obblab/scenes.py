@@ -271,13 +271,15 @@ def save_scene(scene: Scene, annotation_path, spec_path=None) -> None:
             fh.write("\n")
 
 
-def from_dict(cls, data, context: str, keys=None):
+def from_dict(cls, data, context: str, keys=None, prefix_checks: bool = True):
     """Build the self-validating frozen dataclass ``cls`` from a JSON object
     holding only its fields (or only ``keys``). Lists become tuples, of the
     default's length unless annotated ``tuple[T, ...]``, and numbers take
     the type of the default; the items of an optional ``tuple[T, ...]``
     take the type T. A field whose default is a dataclass is a nested
-    object, limited to its metadata's ``"keys"``."""
+    object, limited to its metadata's ``"keys"``. The errors of the checks
+    of ``cls`` get ``context`` as a prefix, unless ``prefix_checks`` is
+    false because they name their keys in full."""
     if not isinstance(data, dict):
         raise ValueError(f"{context} must be a JSON object")
     known = {f.name: f for f in fields(cls)}
@@ -299,7 +301,7 @@ def from_dict(cls, data, context: str, keys=None):
     try:
         return replace(defaults, **values)
     except (ValueError, TypeError) as exc:
-        raise ValueError(f"{context}: {exc}") from None
+        raise ValueError(f"{context}: {exc}" if prefix_checks else str(exc)) from None
 
 
 _JSON_TYPES = {bool: "boolean", int: "integer", float: "number", str: "string", tuple: "list"}

@@ -164,13 +164,20 @@ class TestStatsCommand:
                 ["thresholds", "--gamma", "3"], {"thresholds": [4]}, "thresholds must be a JSON object",
                 id="gamma-flag-over-list",
             ),
+            # a check across sections names its keys in full
+            pytest.param(
+                ["stats"], {"scene": {"object_count": 1e9}},
+                "config error: scene.object_count, or aspect_bins x angle_bins", id="cross-section-check",
+            ),
         ],
     )
     def test_config_error_names_the_key(self, tmp_path, capsys, argv, payload, message):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(payload))
         assert run_cli([*argv, "--config", bad, "--out", tmp_path / "o"]) == EXIT_CONFIG
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert message in err
+        assert "config: config:" not in err
 
     def test_invalid_strategy_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
@@ -383,6 +390,23 @@ class TestThresholdsCommand:
         # reference row: aspect 1.5 at the maximal-mismatch angle has weight 1
         summary = json.loads((out / "thresholds.json").read_text())
         assert summary["monotonicity_violations"] == {}
+
+    @pytest.mark.parametrize("aspect_range", [[1, 1], [1, 1.0000000000000002], [3, 3.000000000000001]])
+    @pytest.mark.parametrize("gamma", ["0.3", "5", "100"])
+    def test_aspect_range_of_one_or_two_floats_passes(self, tmp_path, aspect_range, gamma):
+        # rounding merges the exponents of aspects an ulp apart
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"thresholds": {"aspect_range": aspect_range}}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(["thresholds", "--config", path, "--gamma", gamma, "--out", tmp_path / "t"]) == EXIT_OK
+
+    def test_exponents_past_the_float_range_pass_without_a_warning(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"thresholds": {"aspect_range": [1, 1.7e308], "aspect_count": 3, "angle_count": 5}}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(["thresholds", "--config", path, "--gamma", "0.3", "--out", tmp_path / "t"]) == EXIT_OK
 
     def test_raw_lambda_fails_self_check(self, tmp_path):
         out = tmp_path / "out"
@@ -811,6 +835,31 @@ class TestCfsDemoCommand:
         assert code == EXIT_CONFIG
         assert "--stride must" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("far", [1e200, 1e308])
+    def test_offsets_that_move_a_point_past_2_508_px_are_data_error(self, tmp_path, capsys, feature_file, far):
+        path, _ = feature_file
+        offsets = tmp_path / "offsets.json"
+        offsets.write_text(json.dumps([[far, 0]] + [[0, 0]] * 8))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli([
+                "cfs-demo", "--features", path, "--out", tmp_path / "o", "--offsets", offsets,
+                "--box", "8", "8", "4", "2", "0",
+            ])
+        assert code == EXIT_DATA
+        assert "data error: offsets must be finite and move each point by at most 2**508 px" in capsys.readouterr().err
+
+    def test_stride_that_pushes_refined_points_out_is_usage_error(self, tmp_path, capsys, feature_file):
+        path, _ = feature_file
+        offsets = tmp_path / "offsets.json"
+        offsets.write_text(json.dumps([[1e100, 0]] + [[0, 0]] * 8))
+        code = run_cli([
+            "cfs-demo", "--features", path, "--out", tmp_path / "o", "--offsets", offsets,
+            "--box", "8", "8", "4", "2", "0", "--stride", "1e-100",
+        ])
+        assert code == EXIT_CONFIG
+        assert "--stride must" in capsys.readouterr().err
+
     def test_byte_identical_reruns(self, tmp_path, feature_file):
         path, _ = feature_file
         outs = []
@@ -905,3 +954,49 @@ def test_any_numeric_config_value_gives_a_documented_exit(argv, placement, edits
             warnings.simplefilter("error")
             code = run_cli([*argv, "--config", path, "--out", Path(tmp) / "o"])
     assert code in (EXIT_OK, EXIT_CONFIG, EXIT_DATA, EXIT_SELFCHECK)
+
+
+OFFSET_VALUES = st.one_of(
+    st.floats(-1.0, 1.0), st.sampled_from([math.nan, math.inf, 1e200, -1e200, 1e308, -1e308, 10**400]),
+)
+OFFSET_FILES = st.one_of(
+    st.lists(st.tuples(OFFSET_VALUES, OFFSET_VALUES).map(list), min_size=9, max_size=9),
+    st.lists(st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=2), min_size=0, max_size=12),  # wrong count
+    st.lists(st.lists(st.floats(-1.0, 1.0), min_size=0, max_size=3), min_size=9, max_size=9),  # ragged
+    st.sampled_from([{"dx": 0.1}, "offsets", None, 0.5, []]),
+)
+
+
+@st.composite
+def feature_files(draw):
+    """The text of a feature file: a valid grid, or one with a wrong value
+    count, a non-finite or non-numeric value, or no cells."""
+    width, height, channels = draw(st.integers(0, 4)), draw(st.integers(1, 4)), draw(st.integers(1, 2))
+    values = [repr(v) for v in draw(st.lists(st.floats(-5.0, 5.0), min_size=width * height * channels))]
+    fault = draw(st.sampled_from([None, "count", "nan", "word"]))
+    if fault == "count":
+        values = values[:-1] if values else ["1.0"]
+    elif fault and values:
+        values[draw(st.integers(0, len(values) - 1))] = fault
+    return f"{width} {height} {channels}\n" + " ".join(values) + "\n"
+
+
+@given(
+    offsets=st.one_of(st.none(), OFFSET_FILES),
+    features=feature_files(),
+    box=st.sampled_from([["8", "8", "4", "2", "0"], ["1", "2", "30", "10", "0.5"], ["-4", "3", "1e-3", "1e-3", "0"]]),
+    stride=st.sampled_from(["8", "0.5", "1e-300"]),
+)
+@settings(max_examples=150, deadline=None)
+def test_any_offsets_and_feature_file_give_a_documented_exit(offsets, features, box, stride):
+    with tempfile.TemporaryDirectory() as tmp:
+        feature_path, offsets_path = Path(tmp) / "features.txt", Path(tmp) / "offsets.json"
+        feature_path.write_text(features)
+        argv = ["cfs-demo", "--features", feature_path, "--box", *box, "--stride", stride, "--out", Path(tmp) / "o"]
+        if offsets is not None:
+            offsets_path.write_text(json.dumps(offsets))
+            argv += ["--offsets", offsets_path]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli(argv)
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_DATA)

@@ -1,16 +1,16 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from obblab.geometry import contains_points, normalize_obb
+from obblab.geometry import QUARTER_PI, OrientedBox, _box_frame, contains_points, normalize_obb
 from obblab.sampling import (
     NUM_PATTERN_POINTS,
     REGULAR_TAPS,
     DcnOffsetField,
     FeatureGrid,
-    OffsetPair,
     bilinear_sample,
     dcn_offset_field,
     deformable_sample,
@@ -65,6 +65,21 @@ def scalar_deformable_sample(grid, weights, p0, field):
             if wt != 0.0:
                 acc += wt * scalar_bilinear_sample(grid, sx, sy, c)
     return acc
+
+
+def literal_initial_sampling_positions(box):
+    """The literal-table pattern that the unit pattern replaced, kept
+    verbatim as the bit-identity oracle."""
+    cx, cy, c, s, hw, hh = _box_frame(box)
+    local = np.array(
+        [
+            (0.0, 0.0),
+            (hw, hh), (-hw, hh), (-hw, -hh), (hw, -hh),
+            (hw, 0.0), (0.0, hh), (-hw, 0.0), (0.0, -hh),
+        ]
+    )
+    rot = np.array([[c, -s], [s, c]])
+    return local @ rot.T + np.array([cx, cy])
 
 
 def assert_bit_identical(got, want):
@@ -231,6 +246,48 @@ class TestInitialPositions:
             assert contains_points(box, pts, atol=1e-9).all()
 
 
+# Extents from 1e-6 to 1e300, and centres from 0 to +-1e300: whole decades
+# and full mantissas.
+EXTENTS = st.one_of(st.integers(-6, 300).map(lambda e: 10.0**e), st.floats(1e-6, 1e300))
+CENTRES = st.one_of(st.just(0.0), EXTENTS, EXTENTS.map(lambda v: -v))
+# The ends of the angle ranges of an elongated box and of a square.
+ANGLE_ENDS = [-QUARTER_PI, math.nextafter(3.0 * QUARTER_PI, 0.0), math.nextafter(QUARTER_PI, 0.0), 0.0]
+
+
+@st.composite
+def pattern_boxes(draw):
+    """Squares and elongated boxes, at drawn angles or at the ends of the
+    angle range, given as they are or with w and h swapped through
+    normalize_obb."""
+    cx, cy, long, short = draw(CENTRES), draw(CENTRES), draw(EXTENTS), draw(EXTENTS)
+    long, short = (long, long) if draw(st.booleans()) else (max(long, short), min(long, short))
+    theta = draw(st.one_of(st.sampled_from(ANGLE_ENDS), st.floats(-QUARTER_PI, 3.0 * QUARTER_PI, exclude_max=True)))
+    if short == long and theta >= QUARTER_PI:
+        theta = draw(st.sampled_from([-QUARTER_PI, math.nextafter(QUARTER_PI, 0.0)]))
+    box = OrientedBox(cx, cy, long, short, theta)
+    return normalize_obb(cx, cy, short, long, theta) if draw(st.booleans()) else box
+
+
+@given(box=pattern_boxes())
+@settings(max_examples=300, deadline=None)
+@example(box=OrientedBox(0.0, 0.0, 5e-324, 5e-324, 0.0))  # half edges round to +0.0
+@example(box=OrientedBox(1e300, -1e300, 1e300, 1e-6, -QUARTER_PI))
+def test_pattern_is_bit_identical_to_the_literal_table(box):
+    want = literal_initial_sampling_positions(box)
+    got = initial_sampling_positions(box)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_pattern_on_the_regular_grid_gives_a_zero_field():
+    # unshrunk, axis-aligned, two strides wide: each point lands on the tap
+    # that it feeds
+    stride, p0 = 8.0, (3, 2)
+    box = OrientedBox(p0[0] * stride, p0[1] * stride, 2 * stride, 2 * stride, 0.0)
+    pattern = sampling_pattern(box, shrink_factor=0.0)
+    field = dcn_offset_field(pattern.refined_points, p0, stride)
+    assert np.array_equal(field.offsets, np.zeros((NUM_PATTERN_POINTS, 2)))
+
+
 class TestRefinePositions:
     def test_zero_offsets_identity(self):
         box = normalize_obb(0, 0, 10, 4, 0.4)
@@ -241,7 +298,7 @@ class TestRefinePositions:
     def test_unit_example(self):
         box = normalize_obb(0, 0, 10, 4, 0)
         pts = np.zeros((9, 2))
-        refined = refine_positions(pts, box, [OffsetPair(0.1, 0.1)] * 9)
+        refined = refine_positions(pts, box, [(0.1, 0.1)] * 9)
         assert refined[0] == pytest.approx([1.0, 0.4])
 
     def test_linear_in_box_dimensions(self):
@@ -260,10 +317,26 @@ class TestRefinePositions:
         rhs = refine_positions(pts, box, a) + refine_positions(pts, box, b) - pts
         assert lhs == pytest.approx(rhs)
 
-    def test_wrong_offset_count_rejected(self):
-        box = normalize_obb(0, 0, 4, 2, 0)
-        with pytest.raises(ValueError):
-            refine_positions(np.zeros((9, 2)), box, np.zeros((8, 2)))
+    @pytest.mark.parametrize(
+        "offsets",
+        [
+            pytest.param(np.zeros((8, 2)), id="wrong-count"),
+            pytest.param({"dx": 0.1}, id="mapping"),
+            pytest.param("abc", id="string"),
+            pytest.param(None, id="none"),
+            pytest.param([(0.0, 0.0)] * 8 + [(0.0,)], id="ragged"),
+            pytest.param([(0.0, 0.0)] * 8 + [(10**400, 0)], id="int-past-float-range"),
+            pytest.param([(math.nan, 0.0)] * 9, id="nan"),
+            pytest.param([(1e200, 0.0)] + [(0.0, 0.0)] * 8, id="past-2**508-px"),
+            pytest.param([(1e308, 0.0)] + [(0.0, 0.0)] * 8, id="overflow"),
+        ],
+    )
+    def test_bad_offsets_rejected_without_a_warning(self, offsets):
+        box = normalize_obb(8, 8, 4, 2, 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="offsets"):
+                refine_positions(np.zeros((9, 2)), box, offsets)
 
     def test_sampling_pattern_uses_original_dims_for_scaling(self):
         box = normalize_obb(0, 0, 10, 4, 0)
