@@ -254,30 +254,55 @@ def saturating_exp(x: float) -> float:
 
 
 def select_candidates(grid: AnchorGrid, gt: GroundTruth, k: int) -> np.ndarray:
-    """Indices of the k anchors nearest to the gt center, per pyramid level.
+    """Indices of the k anchors nearest to the gt center, per pyramid level:
+    the one-gt case of :func:`_nearest_anchors`."""
+    return _nearest_anchors(grid, np.array([gt.box.cx]), np.array([gt.box.cy]), k)[0]
+
+
+def _nearest_anchors(grid: AnchorGrid, cx: np.ndarray, cy: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(anchor, owner) rows, owner-major: the k anchors nearest to each
+    center (cx[g], cy[g]) per pyramid level, levels in order, found for all
+    centers in one pass per level.
 
     Levels holding fewer than k anchors contribute all of them. Distance ties
     break toward the lower anchor index (stable sort). A cell's squared
     distance is ``dx2[col] + dy2[row]``; the k-th smallest sum over the k
     nearest columns and rows bounds the level's k-th distance, and rounded
     addition is monotone, so every cell at or under the bound lies in the
-    columns and rows that reach it with the other axis' minimum. A stable
-    sort of that sub-lattice, in row-major order, equals a stable sort of
-    the whole level (kept whole when it holds fewer than k cells), at a
-    cost that grows with the level's side, not its area."""
+    columns and rows that reach it with the other axis' minimum. Rounded
+    squares fall and then rise along an axis, so those columns and those
+    rows are one interval each. A stable sort of that window, in row-major
+    order, equals a stable sort of the whole level, at a cost that grows
+    with the level's side, not its area. The windows are padded with inf to
+    the widest and sorted in one call; a window wider than k + 1 cells on an
+    axis (a center so far out that whole lines tie) is sorted as a group of
+    its own, so that it widens no other."""
     if k < 1:
         raise ValueError("k must be >= 1")
     picked = []
     for start, lattice, xs, ys in _lattice_axes(grid):
-        dx2 = (xs - gt.box.cx) ** 2
-        dy2 = (ys - gt.box.cy) ** 2
-        near = np.add.outer(_smallest(dy2, k), _smallest(dx2, k))
-        bound = np.partition(near, k - 1, axis=None)[k - 1] if near.size >= k else math.inf
-        cols = np.flatnonzero(dx2 + dy2.min() <= bound)
-        rows = np.flatnonzero(dy2 + dx2.min() <= bound)
-        order = np.argsort(dx2[cols] + dy2[rows, None], axis=None, kind="stable")[:k]
-        picked.append(_cross(start, lattice.width, rows, cols)[order])
-    return np.concatenate(picked)
+        dx2 = (xs - cx[:, None]) ** 2
+        dy2 = (ys - cy[:, None]) ** 2
+        take = min(k, xs.size * ys.size)
+        bound = np.full((cx.size, 1), math.inf)
+        if take == k:
+            near_y, near_x = _smallest(dy2, k), _smallest(dx2, k)
+            near = (near_y[:, :, None] + near_x[:, None, :]).reshape(cx.size, near_y.shape[1] * near_x.shape[1])
+            bound = np.partition(near, k - 1, axis=1)[:, k - 1 : k]
+        c0, nc = _interval(dx2 + dy2.min(axis=1, keepdims=True) <= bound)
+        r0, nr = _interval(dy2 + dx2.min(axis=1, keepdims=True) <= bound)
+        wide = (nc > k + 1) | (nr > k + 1)
+        groups = [np.flatnonzero(~wide)] + np.flatnonzero(wide)[:, None].tolist() if wide.any() else [slice(None)]
+        level = np.empty((cx.size, take), dtype=np.intp)
+        for group in groups:
+            if cx[group].size:
+                ddx, ddy = _window(dx2[group], c0[group], nc[group]), _window(dy2[group], r0[group], nr[group])
+                sums = (ddx[:, None, :] + ddy[:, :, None]).reshape(len(ddx), -1)
+                row, col = np.divmod(np.argsort(sums, axis=1, kind="stable")[:, :take], ddx.shape[1])
+                level[group] = start + (r0[group, None] + row) * lattice.width + c0[group, None] + col
+        picked.append(level)
+    candidates = np.concatenate(picked, axis=1)
+    return candidates.ravel(), np.repeat(np.arange(cx.size), candidates.shape[1])
 
 
 def _lattice_axes(grid: AnchorGrid):
@@ -290,15 +315,23 @@ def _lattice_axes(grid: AnchorGrid):
 
 
 def _smallest(values: np.ndarray, k: int) -> np.ndarray:
-    """The k smallest of ``values`` in no particular order (all of them if
-    there are no more than k)."""
-    return values if values.size <= k else np.partition(values, k - 1)[:k]
+    """The k smallest of each row of ``values`` in no particular order (all
+    of them if a row holds no more than k)."""
+    return values if values.shape[1] <= k else np.partition(values, k - 1, axis=1)[:, :k]
 
 
-def _cross(start: int, width: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Ascending indices of the cells in ``rows`` x ``cols`` (each
-    ascending) of a level whose first anchor is ``start``."""
-    return (start + rows[:, None] * width + cols).ravel()
+def _interval(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The first index and the length of the run of True values in each row
+    of ``mask``, whose rows hold one run at most."""
+    return mask.argmax(axis=1), mask.sum(axis=1)
+
+
+def _window(values: np.ndarray, first: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """Row g: ``values[g, first[g] : first[g] + count[g]]``, padded with inf
+    to the longest."""
+    span = np.arange(count.max())
+    at = np.minimum(first[:, None] + span, values.shape[1] - 1)
+    return np.where(span < count[:, None], values[np.arange(len(values))[:, None], at], math.inf)
 
 
 def iou_statistics(candidate_ious) -> tuple[float, float, float]:
@@ -361,21 +394,32 @@ class AssignmentResult:
         return self.gt_index == NEGATIVE
 
 
-def _overlapping_anchor_indices(grid: AnchorGrid, lo, hi) -> np.ndarray:
-    """Anchors whose axis-aligned bounds overlap the gt's, (min x, min y)
-    ``lo`` to ``hi``; every anchor with nonzero IoU is included.
+def _overlapping_anchor_indices(grid: AnchorGrid, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(anchor, owner) rows, owner-major and then in ascending anchor order:
+    the anchors whose axis-aligned bounds overlap those of box g, (min x,
+    min y) ``lo[g]`` to ``hi[g]``; every anchor with nonzero IoU is
+    included.
 
     The x test depends only on the column and the y test only on the row,
-    so each level crosses the columns and the rows that pass: the strict
-    test over every anchor, in ascending order, at a cost that grows with
-    the level's side."""
-    picked = []
+    and each passes one interval of them, so a box's cells on a level are
+    the product of a column and a row interval: the strict test over every
+    anchor, at a cost that grows with the level's side."""
+    firsts, widths, col_counts, row_counts = [], [], [], []
     for start, lattice, xs, ys in _lattice_axes(grid):
         half = 0.5 * lattice.anchor_size
-        cols = np.flatnonzero((xs - half < hi[0]) & (xs + half > lo[0]))
-        rows = np.flatnonzero((ys - half < hi[1]) & (ys + half > lo[1]))
-        picked.append(_cross(start, lattice.width, rows, cols))
-    return np.concatenate(picked)
+        c0, nc = _interval((xs - half < hi[:, :1]) & (xs + half > lo[:, :1]))
+        r0, nr = _interval((ys - half < hi[:, 1:]) & (ys + half > lo[:, 1:]))
+        firsts.append(start + r0 * lattice.width + c0)
+        widths.append(lattice.width)
+        col_counts.append(nc)
+        row_counts.append(nr)
+    # one (box, level) segment per entry, box-major
+    first, nc, nr = (np.stack(column, axis=1).ravel() for column in (firsts, col_counts, row_counts))
+    sizes = nc * nr
+    segment = np.repeat(np.arange(sizes.size), sizes)
+    row, col = np.divmod(np.arange(segment.size) - np.repeat(np.cumsum(sizes) - sizes, sizes), nc[segment])
+    anchor = first[segment] + row * np.tile(widths, len(lo))[segment] + col
+    return anchor, segment // len(widths)
 
 
 def _resolve_claims(gt_index: np.ndarray, anchors: np.ndarray, ious: np.ndarray, gts: np.ndarray) -> None:
@@ -439,12 +483,10 @@ def _assign(grid: AnchorGrid, gts, cfg: MasConfig | MaxIouConfig) -> AssignmentR
         return AssignmentResult(np.full(grid.num_anchors, label, dtype=int), np.empty(0), np.zeros(0, dtype=int))
     frames = np.array([_box_frame(gt.box) for gt in gts]).T  # six (gts,) columns
     if adaptive:
-        candidates = [select_candidates(grid, gt, cfg.candidate_k) for gt in gts]
+        anchor, owner = _nearest_anchors(grid, frames[0], frames[1], cfg.candidate_k)
     else:
         corners = np.array(_corners(frames))  # (corner, x or y, gt)
-        candidates = [_overlapping_anchor_indices(grid, *b) for b in zip(corners.min(0).T, corners.max(0).T)]
-    anchor = np.concatenate(candidates)
-    owner = np.repeat(np.arange(len(gts)), [cand.size for cand in candidates])
+        anchor, owner = _overlapping_anchor_indices(grid, corners.min(0).T, corners.max(0).T)
     (x, y), sides = grid.centers[anchor].T, grid.sizes[anchor]
     half = 0.5 * sides
     squares = (x, y, math.cos(0.0), math.sin(0.0), half, half)

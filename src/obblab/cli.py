@@ -235,19 +235,26 @@ _STATS_HEADER = (
 )
 
 
+def _read_json(path, what: str, error: type[ValueError] = ValueError):
+    """The JSON document in the UTF-8 file ``path``; a file that cannot be
+    read, is not UTF-8, is not JSON or nests too deeply raises ``error``
+    (``ValueError`` is a data error, ``ConfigError`` a usage error)."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"cannot read {what}: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise error(f"{what} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise error(f"{what} nests too deeply to read") from None
+
+
 def load_run_config(path: str | None, overrides: dict | None = None) -> RunConfig:
     """Parse the JSON configuration (all sections optional) with the
     ``{section: {key: value}}`` of ``overrides`` laid over its sections, and
     reject anything it does not understand."""
-    data: dict = {}
-    if path is not None:
-        try:
-            with open(path, encoding="utf-8") as fh:
-                data = json.load(fh)
-        except OSError as exc:
-            raise ConfigError(f"cannot read config: {exc}") from None
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from None
+    data = {} if path is None else _read_json(path, "config", ConfigError)
     if isinstance(data, dict):
         data.pop("schema_version", None)  # accepted, as in the files the CLI writes
         for section, values in (overrides or {}).items():
@@ -683,7 +690,7 @@ def cmd_cfs_demo(args: argparse.Namespace, cfg: RunConfig) -> int:
     out = _out_dir(args)
     grid = load_feature_grid(args.features)
     box = _flag_box(args.box)
-    offsets = json.loads(Path(args.offsets).read_text(encoding="utf-8")) if args.offsets else None
+    offsets = _read_json(args.offsets, "offsets") if args.offsets else None
     if not 0.0 <= args.shrink < 1.0:
         raise ConfigError("--shrink must lie in [0, 1)")
     if not 0.0 < args.stride < math.inf:

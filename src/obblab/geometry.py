@@ -137,14 +137,7 @@ class ConvexQuad:
 
     @staticmethod
     def _orient(pts: np.ndarray) -> np.ndarray | None:
-        nxt = np.roll(pts, -1, axis=0)
-        prv = np.roll(pts, 1, axis=0)
-        cross = (nxt[:, 0] - pts[:, 0]) * (prv[:, 1] - pts[:, 1]) - (
-            nxt[:, 1] - pts[:, 1]
-        ) * (prv[:, 0] - pts[:, 0])
-        # Strictly convex CCW quads turn left at every vertex, CW quads right
-        # (reversing the order negates each turn exactly). The turns use
-        # vertex differences, so tiny quads far from the origin still orient.
+        cross = _turns(pts)
         if np.all(cross > 0.0):
             return pts
         if np.all(cross < 0.0):
@@ -156,6 +149,35 @@ class ConvexQuad:
         # Relative to the first vertex, so that a tiny quad far from the
         # origin keeps its digits.
         return signed_area((self.vertices - self.vertices[0]).tolist())
+
+
+def _turns(pts: np.ndarray) -> np.ndarray:
+    """The turn (cross product of the edges in and out) at each vertex of
+    quads given as (..., 4, 2) arrays, in the given vertex order.
+
+    Strictly convex CCW quads turn left at every vertex, CW quads right
+    (reversing the order negates each turn exactly). The turns use vertex
+    differences, so tiny quads far from the origin still orient."""
+    nxt, prv = pts[..., [1, 2, 3, 0], :], pts[..., [3, 0, 1, 2], :]
+    x, y = pts[..., 0], pts[..., 1]
+    return (nxt[..., 0] - x) * (prv[..., 1] - y) - (nxt[..., 1] - y) * (prv[..., 0] - x)
+
+
+def _quads_in_order(pts: np.ndarray) -> np.ndarray:
+    """The (quads, 4, 2) corners ``pts`` as :meth:`ConvexQuad.from_points`
+    orders them, from one orientation test for all quads; only a quad that
+    is not convex in the given order goes through ``from_points`` itself. A
+    quad it rejects becomes all zeros, which has no enclosing rectangle."""
+    finite = np.isfinite(pts).all(axis=(1, 2))
+    turns = _turns(np.where(finite[:, None, None], pts, 0.0))
+    left, right = (turns > 0.0).all(axis=1) & finite, (turns < 0.0).all(axis=1) & finite
+    ordered = np.where(right[:, None, None], pts[:, ::-1], pts)
+    for i in np.flatnonzero(~(left | right)).tolist():
+        try:
+            ordered[i] = ConvexQuad.from_points(pts[i]).vertices
+        except DegenerateQuadError:
+            ordered[i] = 0.0
+    return ordered
 
 
 def signed_area(points) -> float:
@@ -191,33 +213,43 @@ def _corners(frame) -> list[tuple]:
 
 
 def quad_to_obb(quad: ConvexQuad) -> OrientedBox:
-    """Minimum-area enclosing rectangle of a convex quad, as a normalized box.
+    """Minimum-area enclosing rectangle of a convex quad, as a normalized box:
+    the one-quad case of :func:`_enclosing_rectangles`."""
+    (rectangle,) = _enclosing_rectangles(quad.vertices[None])
+    if rectangle is None:
+        raise DegenerateQuadError("zero-area quad has no enclosing rectangle")
+    return normalize_obb(*rectangle)
+
+
+def _enclosing_rectangles(pts: np.ndarray) -> list[tuple[float, ...] | None]:
+    """Per convex quad of the (quads, 4, 2) array ``pts``, vertices in order:
+    the raw (cx, cy, w, h, theta) of its minimum-area enclosing rectangle,
+    or None for a quad of zero area.
 
     The optimum is flush with one of the quad's edges, so only the four edge
-    directions need to be examined (rotating calipers on a 4-gon).
-    """
-    pts = quad.vertices
-    best = None
-    for i in range(4):
-        ex = pts[(i + 1) % 4, 0] - pts[i, 0]
-        ey = pts[(i + 1) % 4, 1] - pts[i, 1]
-        norm = math.hypot(ex, ey)
-        if norm < _MIN_EDGE:
-            continue
-        dx, dy = ex / norm, ey / norm
-        u = pts[:, 0] * dx + pts[:, 1] * dy
-        v = -pts[:, 0] * dy + pts[:, 1] * dx
-        du = float(u.max() - u.min())
-        dv = float(v.max() - v.min())
-        area = du * dv
-        if best is None or area < best[0]:
-            cu = 0.5 * float(u.max() + u.min())
-            cv = 0.5 * float(v.max() + v.min())
-            best = (area, cu * dx - cv * dy, cu * dy + cv * dx, du, dv, math.atan2(dy, dx))
-    if best is None or best[0] <= 0.0:
-        raise DegenerateQuadError("zero-area quad has no enclosing rectangle")
-    _, cx, cy, du, dv, theta = best
-    return normalize_obb(cx, cy, du, dv, theta)
+    directions need to be examined (rotating calipers on a 4-gon), all of
+    them for all quads at once. Edges shorter than ``_MIN_EDGE`` have no
+    direction, and the first edge of least area wins. Norms and angles are
+    one ``math`` call each, since ``np.hypot`` and ``np.arctan2`` round
+    differently."""
+    x, y = pts[..., 0], pts[..., 1]  # (quad, vertex)
+    ex, ey = x[:, [1, 2, 3, 0]] - x, y[:, [1, 2, 3, 0]] - y  # (quad, edge)
+    norm = np.array(list(map(math.hypot, ex.ravel().tolist(), ey.ravel().tolist()))).reshape(ex.shape)
+    edged = norm >= _MIN_EDGE
+    dx = np.divide(ex, norm, out=np.zeros_like(ex), where=edged)[..., None]
+    dy = np.divide(ey, norm, out=np.zeros_like(ey), where=edged)[..., None]
+    x, y = x[:, None], y[:, None]
+    u = x * dx + y * dy  # (quad, edge, vertex)
+    v = -x * dy + y * dx
+    u_hi, u_lo, v_hi, v_lo = u.max(2), u.min(2), v.max(2), v.min(2)
+    du, dv = u_hi - u_lo, v_hi - v_lo
+    area = np.where(edged, du * dv, math.inf)
+    first = np.argmax((area == area.min(axis=1, keepdims=True)) & edged, axis=1)
+    table = np.array([area, du, dv, 0.5 * (u_hi + u_lo), 0.5 * (v_hi + v_lo), dx[..., 0], dy[..., 0]])
+    area, du, dv, cu, cv, dx, dy = table[:, np.arange(first.size), first]
+    rectangles = zip((cu * dx - cv * dy).tolist(), (cu * dy + cv * dx).tolist(), du.tolist(), dv.tolist(),
+                     map(math.atan2, dy.tolist(), dx.tolist()))
+    return [rect if ok else None for rect, ok in zip(rectangles, (edged.any(axis=1) & (area > 0.0)).tolist())]
 
 
 def _clip_polygon(subject: list[tuple[float, float]], clip: list[tuple[float, float]]):

@@ -255,14 +255,25 @@ class LossTargets:
 
 
 def build_loss_targets(grid: AnchorGrid, gts, assignment: AssignmentResult) -> LossTargets:
-    """Encode each positive anchor against its matched gt; other rows stay
-    zero."""
+    """Encode each positive anchor against its matched gt, as
+    :func:`box_deltas` does, for all positives at once; other rows stay
+    zero. The logs are one ``math.log`` per element, since ``np.log``
+    rounds differently."""
     deltas = np.zeros((grid.num_anchors, 5))
     class_ids = np.zeros(grid.num_anchors, dtype=int)
-    for anchor in np.nonzero(assignment.gt_index >= 0)[0]:
-        gt = gts[assignment.gt_index[anchor]]
-        deltas[anchor] = box_deltas(grid.box(int(anchor)), gt.box).as_array()
-        class_ids[anchor] = gt.class_id
+    anchors = np.flatnonzero(assignment.gt_index >= 0)
+    if anchors.size:
+        owner = assignment.gt_index[anchors]
+        cx, cy, w, h, theta = np.array([(g.box.cx, g.box.cy, g.box.w, g.box.h, g.box.theta) for g in gts])[owner].T
+        (x, y), side = grid.centers[anchors].T, grid.sizes[anchors]
+        deltas[anchors] = np.stack([
+            (cx - x) / side,
+            (cy - y) / side,
+            list(map(math.log, (w / side).tolist())),
+            list(map(math.log, (h / side).tolist())),
+            HALF_PI - np.remainder(HALF_PI - theta, math.pi),  # the anchors' theta is 0
+        ], axis=1)
+        class_ids[anchors] = np.array([g.class_id for g in gts])[owner]
     return LossTargets(deltas=deltas, class_ids=class_ids)
 
 

@@ -20,12 +20,11 @@ import numpy as np
 from .geometry import (
     MAX_EXTENT,
     QUARTER_PI,
-    ConvexQuad,
-    DegenerateQuadError,
     _box_frame,
     _corners,
+    _enclosing_rectangles,
+    _quads_in_order,
     normalize_obb,
-    quad_to_obb,
 )
 from .assignment import GroundTruth
 
@@ -227,22 +226,20 @@ def records_to_gts(
     if unknown not in ("error", "extend"):
         raise ValueError(f"unknown must be 'error' or 'extend', got {unknown!r}")
     table = dict(categories) if categories is not None else dota_category_table()
+    kept = [record for record in records if include_difficult or not record.difficult]
+    pts = np.array([record.quad for record in kept], dtype=float).reshape(-1, 4, 2)
+    rectangles = _enclosing_rectangles(_quads_in_order(pts))
     gts: list[GroundTruth] = []
     skipped = 0
-    for record in records:
-        if record.difficult and not include_difficult:
-            continue
+    for record, rectangle in zip(kept, rectangles):
         if record.category not in table:
             if unknown == "error":
                 raise ValueError(f"unknown category {record.category!r}")
             table[record.category] = max(table.values(), default=-1) + 1
-        try:
-            quad = ConvexQuad.from_points(np.array(record.quad).reshape(4, 2))
-            box = quad_to_obb(quad)
-        except DegenerateQuadError:
+        if rectangle is None:
             skipped += 1
             continue
-        gts.append(GroundTruth(box=box, class_id=table[record.category]))
+        gts.append(GroundTruth(box=normalize_obb(*rectangle), class_id=table[record.category]))
     return gts, skipped
 
 

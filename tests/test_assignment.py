@@ -117,6 +117,14 @@ def box_bounds(box):
     return corners.min(axis=0), corners.max(axis=0)
 
 
+def overlapping_anchors(grid, box):
+    """`_overlapping_anchor_indices` of one box."""
+    lo, hi = box_bounds(box)
+    anchors, owner = _overlapping_anchor_indices(grid, lo[None], hi[None])
+    assert not owner.any()
+    return anchors
+
+
 def brute_force_overlaps(grid, gt_box):
     """Anchors whose bounds overlap the gt's bounds, by testing every anchor."""
     lo, hi = box_bounds(gt_box)
@@ -449,20 +457,97 @@ def test_swamped_axis_ties_whole_lines(offset, axis):
         assert np.array_equal(select_candidates(grid, gt, k), brute_force_candidates(grid, gt, k))
 
 
+def nearest_anchors(grid, gts, k):
+    """`_nearest_anchors` of the centres of ``gts``, one row per gt."""
+    cx, cy = np.array([[gt.box.cx, gt.box.cy] for gt in gts]).reshape(-1, 2).T
+    anchors, owner = assignment._nearest_anchors(grid, cx, cy, k)
+    assert np.array_equal(owner, np.repeat(np.arange(len(gts)), anchors.size // max(len(gts), 1)))
+    return anchors.reshape(len(gts), -1)
+
+
+def test_level_with_fewer_than_k_cells_keeps_its_distance_order():
+    grid = generate_anchors((32, 16), [8, 16], 2)  # 4 x 2 cells, then 2 x 1
+    gt = GroundTruth(normalize_obb(30.0, 2.0, 8, 4, 0))
+    # on the coarse level, the anchor at (24, 8) is nearer than the one at
+    # (8, 8), so anchor 9 comes before anchor 8
+    assert select_candidates(grid, gt, 3).tolist() == [3, 2, 7, 9, 8]
+    other = GroundTruth(normalize_obb(-3.0, 20.0, 8, 4, 0))
+    picked = nearest_anchors(grid, [gt, other], 3)
+    assert picked.tolist() == [[3, 2, 7, 9, 8], [4, 5, 0, 8, 9]]
+    for row, box in zip(picked, [gt, other]):
+        assert np.array_equal(row, brute_force_candidates(grid, box, 3))
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_far_off_axis_gt_widens_no_other_window(monkeypatch, axis):
+    # a centre 1e13 px out along one axis ties whole lines of cells, so its
+    # window spans the level; it is sorted on its own, and the ordinary gts'
+    # windows stay within (k + 1) x (k + 1) cells
+    grid = generate_anchors((600, 400), [8, 32], 4)
+    ordinary = random_gts(np.random.default_rng(5), 6, image=400)
+    center = [300.3, 200.7]
+    center[axis] = -1e13
+    gts = ordinary[:3] + [GroundTruth(normalize_obb(*center, 12.0, 5.0, 0.3))] + ordinary[3:]
+    k = 9
+    expected = [brute_force_candidates(grid, gt, k) for gt in gts]
+    shapes = []
+    argsort = np.argsort
+
+    def spy(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return argsort(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", spy)
+    picked = nearest_anchors(grid, gts, k)
+    assert [rows for rows, _ in shapes] == [len(ordinary), 1] * len(grid.levels)
+    assert all(size <= (k + 1) ** 2 for rows, size in shapes if rows == len(ordinary))
+    for row, want in zip(picked, expected):
+        assert np.array_equal(row, want)
+
+
+def test_no_centres_and_no_boxes_give_no_rows():
+    anchors, owner = assignment._nearest_anchors(SMALL_GRID, np.empty(0), np.empty(0), 9)
+    assert anchors.size == owner.size == 0
+    anchors, owner = _overlapping_anchor_indices(SMALL_GRID, np.empty((0, 2)), np.empty((0, 2)))
+    assert anchors.size == owner.size == 0
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_many_gts_in_one_call_equal_the_per_gt_sort(data):
+    grid, (width, height) = data.draw(lattices())
+    stride = data.draw(st.sampled_from([level.stride for level in grid.levels]))
+    centers = data.draw(st.lists(
+        st.tuples(lattice_coordinates(stride, width), lattice_coordinates(stride, height)), min_size=1, max_size=8
+    ))
+    most = max(level.width * level.height for level in grid.levels)
+    k = data.draw(st.one_of(st.sampled_from([1, 2, 3, 4, 9]), st.integers(1, most + 2)))
+    gts = [GroundTruth(normalize_obb(cx, cy, 12.0, 5.0, 0.3)) for cx, cy in centers]
+    for row, gt in zip(nearest_anchors(grid, gts, k), gts):
+        assert np.array_equal(row, brute_force_candidates(grid, gt, k))
+
+
 @given(data=st.data())
 @settings(max_examples=300, deadline=None)
 def test_overlapping_anchors_equal_full_scan(data):
     # anchor edges lie on whole pixels for these strides and multipliers, so
-    # integer-pixel gt edges often touch them exactly
+    # integer-pixel gt edges often touch them exactly; several boxes go
+    # through one call, whose rows are box-major
     grid, (width, height) = data.draw(lattices())
     edges = st.one_of(
         st.integers(-40, max(width, height) + 40), st.integers(-10**6, 10**6), st.integers(-10**15, 10**15)
     )
-    x0, x1 = sorted(data.draw(st.lists(edges, min_size=2, max_size=2, unique=True)))
-    y0, y1 = sorted(data.draw(st.lists(edges, min_size=2, max_size=2, unique=True)))
-    theta = data.draw(st.sampled_from([0.0, QP, 2 * QP]))
-    box = normalize_obb((x0 + x1) / 2, (y0 + y1) / 2, x1 - x0, y1 - y0, theta)
-    assert np.array_equal(_overlapping_anchor_indices(grid, *box_bounds(box)), brute_force_overlaps(grid, box))
+    boxes = []
+    for _ in range(data.draw(st.integers(1, 4))):
+        x0, x1 = sorted(data.draw(st.lists(edges, min_size=2, max_size=2, unique=True)))
+        y0, y1 = sorted(data.draw(st.lists(edges, min_size=2, max_size=2, unique=True)))
+        theta = data.draw(st.sampled_from([0.0, QP, 2 * QP]))
+        boxes.append(normalize_obb((x0 + x1) / 2, (y0 + y1) / 2, x1 - x0, y1 - y0, theta))
+    lo, hi = (np.array(bounds) for bounds in zip(*map(box_bounds, boxes)))
+    anchors, owner = _overlapping_anchor_indices(grid, lo, hi)
+    want = [brute_force_overlaps(grid, box) for box in boxes]
+    assert np.array_equal(owner, np.repeat(np.arange(len(boxes)), [w.size for w in want]))
+    assert np.array_equal(anchors, np.concatenate(want))
 
 
 class TestAssignMas:
@@ -696,9 +781,9 @@ def test_scene_without_gts():
 def test_gt_with_empty_overlap_set():
     outside = normalize_obb(5e5, -5e5, 20.0, 10.0, 0.3)
     inside = normalize_obb(28.0, 28.0, 20.0, 10.0, 0.3)
-    empty = _overlapping_anchor_indices(SMALL_GRID, *box_bounds(outside))
+    empty = overlapping_anchors(SMALL_GRID, outside)
     assert empty.size == 0
-    cand = _overlapping_anchor_indices(SMALL_GRID, *box_bounds(inside))
+    cand = overlapping_anchors(SMALL_GRID, inside)
     owner = np.ones(cand.size, dtype=int)
     ious = ious_against_anchors(SMALL_GRID, [outside, inside, outside], owner, cand)
     assert ious.shape == (cand.size,)
@@ -774,15 +859,16 @@ def reference_fallback(gt_index, candidates, candidate_ious):
 
 
 def reference_assign(grid, gts, cfg):
-    """The labelling pipeline over per-gt lists of candidates, IoUs and
-    claims, with per-gt loops for the ignore band and the fallback: the
-    oracle of the (gt, anchor, IoU) table in ``_assign``."""
+    """The labelling pipeline over per-gt lists of candidates (from scans
+    of the whole grid), IoUs and claims, with per-gt loops for the ignore
+    band and the fallback: the oracle of the (gt, anchor, IoU) table in
+    ``_assign``."""
     adaptive = isinstance(cfg, MasConfig)
     thresholds = np.zeros(len(gts))
     if adaptive:
-        candidates = [select_candidates(grid, gt, cfg.candidate_k) for gt in gts]
+        candidates = [brute_force_candidates(grid, gt, cfg.candidate_k) for gt in gts]
     else:
-        candidates = [_overlapping_anchor_indices(grid, *box_bounds(gt.box)) for gt in gts]
+        candidates = [brute_force_overlaps(grid, gt.box) for gt in gts]
     candidate_ious = []
     if candidates:
         sizes = [cand.size for cand in candidates]

@@ -215,6 +215,22 @@ def test_every_subcommand_reads_its_config(tmp_path, capsys, command, config):
         assert "config error" in capsys.readouterr().err
 
 
+# A UTF-16 byte-order mark is not UTF-8, and 100,000 nested lists pass the
+# recursion limit of the JSON reader.
+UNREADABLE_JSON = {"not-utf-8": b"\xff\xfe{}", "nested-1e5-deep": b"[" * 100_000 + b"]" * 100_000}
+
+
+@pytest.mark.parametrize("command", ["stats", "iou", "cfs-demo"])
+@pytest.mark.parametrize("content", UNREADABLE_JSON.values(), ids=UNREADABLE_JSON.keys())
+def test_unreadable_config_is_usage_error(tmp_path, capsys, command, content):
+    path = tmp_path / "config.json"
+    path.write_bytes(content)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli([*subcommand_argv(tmp_path, command), "--config", path]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
 @pytest.mark.parametrize(
     "multiplier, largest",
     [pytest.param(4.0, 2.0**506, id="side-bound"), pytest.param(0.25, 2.0**508, id="stride-bound")],
@@ -859,6 +875,17 @@ class TestCfsDemoCommand:
         ])
         assert code == EXIT_CONFIG
         assert "--stride must" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content", UNREADABLE_JSON.values(), ids=UNREADABLE_JSON.keys())
+    def test_unreadable_offsets_are_data_error(self, tmp_path, capsys, feature_file, content):
+        path, _ = feature_file
+        offsets = tmp_path / "offsets.json"
+        offsets.write_bytes(content)
+        argv = ["cfs-demo", "--features", path, "--box", 6, 6, 4, 2, 0, "--out", tmp_path / "o", "--offsets", offsets]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(argv) == EXIT_DATA
+        assert capsys.readouterr().err.startswith("data error: ")
 
     def test_byte_identical_reruns(self, tmp_path, feature_file):
         path, _ = feature_file

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from obblab.assignment import IGNORE, NEGATIVE, AssignmentResult, GroundTruth, MasConfig, assign_mas, generate_anchors
 from obblab.geometry import normalize_obb
@@ -536,3 +536,63 @@ def test_focal_loss_broadcasts_like_where_form():
     t = np.array([0, 1, 1])
     assert np.array_equal(focal_loss(p, t), _where_focal(p, t))
     assert np.array_equal(focal_loss(0.3, t), _where_focal(0.3, t))
+
+
+# build_loss_targets as it stood before the batched pass, one positive at a
+# time: the oracle of the one-pass encoding.
+def reference_build_loss_targets(grid, gts, assignment):
+    deltas = np.zeros((grid.num_anchors, 5))
+    class_ids = np.zeros(grid.num_anchors, dtype=int)
+    for anchor in np.nonzero(assignment.gt_index >= 0)[0]:
+        gt = gts[assignment.gt_index[anchor]]
+        deltas[anchor] = box_deltas(grid.box(int(anchor)), gt.box).as_array()
+        class_ids[anchor] = gt.class_id
+    return LossTargets(deltas=deltas, class_ids=class_ids)
+
+
+TARGET_GRID = generate_anchors((40, 24), [4, 8, 16], 2.5)
+
+
+@st.composite
+def target_boxes(draw):
+    """Boxes whose angles sit at the ends of the range, on the equilibrium
+    angles or anywhere, squares and boxes whose edges swap, of 1e-6 to 1e6
+    px, centred on or far from the anchors."""
+    w = draw(st.one_of(st.sampled_from([1e-6, 1.0, 10.0, 1e6]), st.floats(1e-6, 1e6)))
+    h = draw(st.one_of(st.just(w), st.floats(1e-6, 1e6)))
+    theta = draw(st.one_of(
+        st.sampled_from([-QP, math.nextafter(-QP, 0.0), 0.0, 2 * QP, math.nextafter(3 * QP, 0.0)]),
+        st.floats(-10.0, 10.0),
+    ))
+    cx, cy = (draw(st.one_of(st.sampled_from([2.0, 4.0, 12.0]), st.floats(-1e6, 1e6))) for _ in range(2))
+    return normalize_obb(cx, cy, w, h, theta)
+
+
+@given(
+    boxes=st.lists(target_boxes(), min_size=1, max_size=6),
+    labels=st.lists(st.integers(-3, 5), min_size=TARGET_GRID.num_anchors, max_size=TARGET_GRID.num_anchors),
+    class_ids=st.lists(st.integers(0, 20), min_size=6, max_size=6),
+)
+# np.log (numpy 2.4, x86-64) rounds both edges' ratios to a side of 10 px
+# differently from math.log
+@example(
+    boxes=[normalize_obb(2.0, 2.0, 496243.31034177163, 962119.7798862981, 0.0)],
+    labels=[0] * TARGET_GRID.num_anchors,
+    class_ids=[1] * 6,
+)
+@settings(max_examples=200, deadline=None)
+def test_batched_targets_match_the_per_positive_reference(boxes, labels, class_ids):
+    gts = [GroundTruth(box, class_id) for box, class_id in zip(boxes, class_ids)]
+    # each anchor positive for a gt, negative or ignored, at random
+    gt_index = np.array([label if label < len(gts) else NEGATIVE for label in labels])
+    gt_index[gt_index == -3] = IGNORE
+    assignment = AssignmentResult(gt_index=gt_index, thresholds=np.zeros(len(gts)), positive_counts=np.zeros(len(gts)))
+    got, want = build_loss_targets(TARGET_GRID, gts, assignment), reference_build_loss_targets(TARGET_GRID, gts, assignment)
+    assert np.array_equal(got.deltas.view(np.int64), want.deltas.view(np.int64))
+    assert np.array_equal(got.class_ids, want.class_ids)
+
+
+def test_targets_without_positives_are_zero():
+    assignment = AssignmentResult(np.full(TARGET_GRID.num_anchors, NEGATIVE), np.zeros(0), np.zeros(0, dtype=int))
+    targets = build_loss_targets(TARGET_GRID, [], assignment)
+    assert not targets.deltas.any() and not targets.class_ids.any()

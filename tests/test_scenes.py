@@ -4,8 +4,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from obblab.geometry import MAX_EXTENT, obb_to_polygon
+from obblab.assignment import GroundTruth
+from obblab.geometry import (
+    MAX_EXTENT,
+    ConvexQuad,
+    DegenerateQuadError,
+    _MIN_EDGE,
+    normalize_obb,
+    obb_to_polygon,
+    quad_to_obb,
+)
 from obblab.scenes import (
     AnnotationRecord,
     DotaParseError,
@@ -199,3 +209,176 @@ class TestRoundTrip:
     def test_spec_dict_rejects_unknown_keys(self):
         with pytest.raises(ValueError, match="unknown scene keys"):
             scene_spec_from_dict({"object_count": 3, "flavor": "spicy"})
+
+
+# The quad-to-box code as it stood before the batched pass: one record, one
+# orientation test and one edge at a time, so that the oracle runs none of
+# the code it checks.
+def reference_orient(pts):
+    nxt = np.roll(pts, -1, axis=0)
+    prv = np.roll(pts, 1, axis=0)
+    cross = (nxt[:, 0] - pts[:, 0]) * (prv[:, 1] - pts[:, 1]) - (
+        nxt[:, 1] - pts[:, 1]
+    ) * (prv[:, 0] - pts[:, 0])
+    if np.all(cross > 0.0):
+        return pts
+    if np.all(cross < 0.0):
+        return pts[::-1]
+    return None
+
+
+def reference_from_points(points):
+    pts = np.asarray(points, dtype=float).reshape(4, 2)
+    if not np.all(np.isfinite(pts)):
+        raise DegenerateQuadError("non-finite vertex")
+    ordered = reference_orient(pts)
+    if ordered is None:
+        center = pts.mean(axis=0)
+        angles = np.arctan2(pts[:, 1] - center[1], pts[:, 0] - center[0])
+        ordered = reference_orient(pts[np.argsort(angles, kind="stable")])
+    if ordered is None:
+        raise DegenerateQuadError("vertices are not in convex position")
+    return ordered
+
+
+def reference_quad_to_obb(pts):
+    best = None
+    for i in range(4):
+        ex = pts[(i + 1) % 4, 0] - pts[i, 0]
+        ey = pts[(i + 1) % 4, 1] - pts[i, 1]
+        norm = math.hypot(ex, ey)
+        if norm < _MIN_EDGE:
+            continue
+        dx, dy = ex / norm, ey / norm
+        u = pts[:, 0] * dx + pts[:, 1] * dy
+        v = -pts[:, 0] * dy + pts[:, 1] * dx
+        du = float(u.max() - u.min())
+        dv = float(v.max() - v.min())
+        area = du * dv
+        if best is None or area < best[0]:
+            cu = 0.5 * float(u.max() + u.min())
+            cv = 0.5 * float(v.max() + v.min())
+            best = (area, cu * dx - cv * dy, cu * dy + cv * dx, du, dv, math.atan2(dy, dx))
+    if best is None or best[0] <= 0.0:
+        raise DegenerateQuadError("zero-area quad has no enclosing rectangle")
+    _, cx, cy, du, dv, theta = best
+    return normalize_obb(cx, cy, du, dv, theta)
+
+
+def reference_records_to_gts(records, include_difficult=False, categories=None, unknown="error"):
+    table = dict(categories) if categories is not None else dota_category_table()
+    gts = []
+    skipped = 0
+    for record in records:
+        if record.difficult and not include_difficult:
+            continue
+        if record.category not in table:
+            if unknown == "error":
+                raise ValueError(f"unknown category {record.category!r}")
+            table[record.category] = max(table.values(), default=-1) + 1
+        try:
+            box = reference_quad_to_obb(reference_from_points(np.array(record.quad).reshape(4, 2)))
+        except DegenerateQuadError:
+            skipped += 1
+            continue
+        gts.append(GroundTruth(box=box, class_id=table[record.category]))
+    return gts, skipped
+
+
+QUAD_KINDS = ["ccw", "cw", "shuffled", "integer", "rectangle", "collinear", "near-collinear", "repeated",
+              "non-finite", "any"]
+
+
+@st.composite
+def annotation_quads(draw):
+    """Eight corner coordinates: convex quads in counter-clockwise order,
+    clockwise, or shuffled so that they need the re-sort, with whole-pixel
+    corners, or axis-aligned and 45-degree rectangles and squares, whose
+    edges tie in area; collinear points, points 1e-9 px off a line, a
+    repeated point, a non-finite coordinate, or any eight numbers. Each is
+    scaled by up to 2**496 around a centre of up to 1000 px, so that every
+    coordinate stays within 2**508."""
+    kind = draw(st.sampled_from(QUAD_KINDS))
+    scale = draw(st.sampled_from([1.0, 1e-6, 1e6, 2.0**496]))
+    cx, cy = (draw(st.floats(-1000, 1000)) for _ in range(2))
+    if kind == "any":
+        return tuple(draw(st.floats(-1000, 1000)) * scale for _ in range(8))
+    if kind == "rectangle":
+        w, h = (float(draw(st.integers(1, 8))) for _ in range(2))
+        local = [(w, h), (-w, h), (-w, -h), (w, -h)]
+        if draw(st.booleans()):  # turned by 45 degrees
+            local = [(x - y, x + y) for x, y in local]
+    elif kind in ("collinear", "near-collinear", "repeated"):
+        dx, dy = draw(st.floats(-1, 1)), draw(st.floats(-1, 1))
+        steps = sorted(draw(st.lists(st.floats(-50, 50), min_size=4, max_size=4)))
+        local = [(t * dx, t * dy) for t in steps]
+        if kind == "near-collinear":
+            local[2] = (local[2][0] - 1e-9 * dy, local[2][1] + 1e-9 * dx)
+        if kind == "repeated":
+            local = [(0.0, 0.0), (10.0, 0.0), (10.0, 0.0), (0.0, draw(st.floats(0.5, 10)))]
+    else:
+        angles = sorted(draw(st.lists(st.floats(0, 2 * math.pi, exclude_max=True), min_size=4, max_size=4)))
+        rx, ry = draw(st.floats(0.5, 100)), draw(st.floats(0.5, 100))
+        local = [(rx * math.cos(a), ry * math.sin(a)) for a in angles]
+    points = [(cx + x, cy + y) for x, y in local]
+    if kind == "integer":
+        points = [(float(round(x)), float(round(y))) for x, y in points]
+    if kind == "cw":
+        points = points[::-1]
+    if kind == "shuffled":
+        points = [points[i] for i in draw(st.permutations(range(4)))]
+    coords = [c * scale for point in points for c in point]
+    if kind == "non-finite":
+        coords[draw(st.integers(0, 7))] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    return tuple(coords)
+
+
+@st.composite
+def annotation_records(draw):
+    return AnnotationRecord(
+        quad=draw(annotation_quads()),
+        category=draw(st.sampled_from(["plane", "ship", "harbor", "zeppelin", "kite"])),
+        difficult=draw(st.sampled_from([0, 0, 1])),
+    )
+
+
+def box_bits(gts):
+    return np.array([(g.box.cx, g.box.cy, g.box.w, g.box.h, g.box.theta) for g in gts]).view(np.int64)
+
+
+@given(
+    records=st.lists(annotation_records(), max_size=12),
+    include_difficult=st.booleans(),
+    unknown=st.sampled_from(["error", "extend"]),
+)
+@example(records=[], include_difficult=False, unknown="error")
+@settings(max_examples=300, deadline=None)
+def test_batched_ingestion_matches_the_per_record_reference(records, include_difficult, unknown):
+    def run(convert):
+        try:
+            return convert(records, include_difficult=include_difficult, unknown=unknown)
+        except ValueError as exc:  # an unknown category under unknown="error"
+            return str(exc)
+
+    got, want = run(records_to_gts), run(reference_records_to_gts)
+    if isinstance(want, str):
+        assert got == want
+        return
+    (gts, skipped), (want_gts, want_skipped) = got, want
+    assert skipped == want_skipped
+    assert [g.class_id for g in gts] == [g.class_id for g in want_gts]
+    assert np.array_equal(box_bits(gts), box_bits(want_gts))
+    # quad_to_obb is the one-quad case of the same pass
+    for record in records:
+        try:
+            ordered = reference_from_points(record.quad)
+        except DegenerateQuadError:
+            continue
+        try:
+            want_box = reference_quad_to_obb(ordered)
+        except DegenerateQuadError:
+            with pytest.raises(DegenerateQuadError):
+                quad_to_obb(ConvexQuad.from_points(record.quad))
+            continue
+        assert np.array_equal(box_bits([GroundTruth(quad_to_obb(ConvexQuad.from_points(record.quad)))]),
+                              box_bits([GroundTruth(want_box)]))
