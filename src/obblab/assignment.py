@@ -44,6 +44,18 @@ CONSTANT_ONE = "constant-one"
 # common object shape; keeps those objects at the unmodulated threshold).
 _REFERENCE_ASPECT = 1.5
 
+# The pad (px^2) that :func:`_iou_bounds` adds to an overlap bound for the
+# rounding of the clipper's overlap area, for a square of half side h and
+# reach R (the largest coordinate of its corners, at least 1) and a gt of
+# half long edge w: ``R * (_PAD_REACH * R + _PAD_EXTENT * (h + w))``. The
+# shoelace of absolute coordinates rounds each of about ten products of
+# size R^2, under 2.5e-15 R^2 in all; `_merge_close` drops up to about ten
+# vertices within 1e-12 R of a kept one, each a sliver under 2e-12 R h, and
+# edge crossings move vertices by a few ulp of R + w, under 2e-11 R (h + w)
+# of area in all. The constants hold at least five times these.
+_PAD_REACH = 1e-13
+_PAD_EXTENT = 1e-10
+
 
 @dataclass(frozen=True)
 class GroundTruth:
@@ -432,7 +444,14 @@ def _resolve_claims(gt_index: np.ndarray, anchors: np.ndarray, ious: np.ndarray,
 
 
 def _apply_fallback(
-    gt_index: np.ndarray, owner: np.ndarray, anchor: np.ndarray, iou: np.ndarray, num_gts: int
+    gt_index: np.ndarray,
+    owner: np.ndarray,
+    anchor: np.ndarray,
+    iou: np.ndarray,
+    num_gts: int,
+    pending: np.ndarray,
+    bound: np.ndarray,
+    clip,
 ) -> np.ndarray:
     """Give every starved gt a positive where it can; return the per-gt
     positive counts.
@@ -444,13 +463,34 @@ def _apply_fallback(
     rows. The round's claims go through :func:`_resolve_claims`, and each
     winner is forced positive, even over another gt's claim. A gt that lost
     its last positive, or lost the contest, claims again in the next round.
-    Forced anchors are never claimed again, so the rounds end."""
+    Forced anchors are never claimed again, so the rounds end.
+
+    The ``pending`` rows hold IoU 0 in ``iou`` until ``clip(rows)`` gives
+    their exact IoUs, each at most its ``bound``. Before each pick, while a
+    starved gt has free pending rows whose bound reaches its best free IoU
+    b, the ones at or above half the gt's highest such bound are clipped.
+    The rows left pending then have IoUs below b, so they could neither win
+    nor tie the pick."""
     counts = np.bincount(gt_index[gt_index >= 0], minlength=num_gts)
     forced = np.zeros(gt_index.shape, dtype=bool)
     while True:
-        free = np.flatnonzero((counts[owner] == 0) & (iou > 0.0) & ~forced[anchor])
+        starved = counts == 0
+        free = np.flatnonzero(starved[owner] & (iou > 0.0) & ~forced[anchor])
         best = np.zeros(num_gts)  # each gt's best free IoU, 0 if it has no free row
         np.maximum.at(best, owner[free], iou[free])
+        while pending.size:
+            gt = owner[pending]
+            contenders = starved[gt] & ~forced[anchor[pending]] & (bound >= best[gt])
+            if not contenders.any():
+                break
+            top = np.zeros(num_gts)
+            np.maximum.at(top, gt[contenders], bound[contenders])
+            take = contenders & (bound >= 0.5 * top[gt])
+            rows = pending[take]
+            pending, bound = pending[~take], bound[~take]
+            iou[rows] = clip(rows)
+            np.maximum.at(best, owner[rows], iou[rows])
+            free = np.concatenate([free, rows[iou[rows] > 0.0]])
         free = free[iou[free] == best[owner[free]]]
         lowest = np.full(num_gts, gt_index.size)  # the lowest anchor of that IoU
         np.minimum.at(lowest, owner[free], anchor[free])
@@ -465,32 +505,85 @@ def _apply_fallback(
         forced[won] = True
 
 
+def _iou_bounds(lo, hi, owner, x, y, half, gt_area, gt_half_w, anchor_area) -> np.ndarray:
+    """Row i: an upper bound on the clipped IoU of gt owner[i], of bounds
+    ``lo``/``hi`` ((x or y, gt) arrays), half long edge ``gt_half_w`` and
+    area ``gt_area``, against the square of centre (x[i], y[i]), half side
+    ``half[i]`` and area ``anchor_area[i]``.
+
+    The overlap is at most I, the least of the two areas and the area of
+    the square within the gt's bounds. I is padded by the clipper's
+    rounding (:data:`_PAD_REACH`, :data:`_PAD_EXTENT`) and put through the
+    clipper's own union and division: rounding is monotone, so a clipped
+    overlap at most the padded I gives an IoU at most the bound."""
+    inter = np.minimum(hi[0][owner], x + half)
+    inter -= np.maximum(lo[0][owner], x - half)
+    span = np.minimum(hi[1][owner], y + half)
+    span -= np.maximum(lo[1][owner], y - half)
+    inter *= span
+    gt_area = gt_area[owner]
+    np.minimum(inter, gt_area, out=inter)
+    np.minimum(inter, anchor_area, out=inter)
+    reach = np.maximum(np.abs(x), np.abs(y))
+    reach += half
+    np.maximum(reach, 1.0, out=reach)
+    np.add(half, gt_half_w[owner], out=span)
+    span *= _PAD_EXTENT
+    span += _PAD_REACH * reach
+    span *= reach
+    inter += span
+    union = np.add(gt_area, anchor_area, out=gt_area)
+    union -= inter
+    return np.divide(inter, union, out=np.full(union.shape, math.inf), where=union > 0.0)
+
+
 def _assign(grid: AnchorGrid, gts, cfg: MasConfig | MaxIouConfig) -> AssignmentResult:
     """The labelling pipeline of all three strategies.
 
     The candidate anchors of every gt (the k nearest per level for ATSS and
     MAS, the overlapping ones for maxiou) form one table of (gt, anchor,
-    IoU) rows, whose exact IoUs come from one clipping-kernel call. ATSS
-    and MAS give every gt as many candidates, so their rows reshape to a
-    (gts, candidates) array, thresholded by :func:`adaptive_thresholds` and
-    center-prior tested by :func:`_inside_mask` in one call each. Each gt
-    claims its rows whose IoU is nonzero and meets its threshold (maxiou:
-    ``pos_thr``). Claims are resolved by IoU, maxiou marks its ignore band,
-    and :func:`_apply_fallback` serves the starved gts from the same table."""
+    IoU) rows, whose exact IoUs come from the clipping kernel. ATSS and MAS
+    clip every row in one call and give every gt as many candidates, so
+    their rows reshape to a (gts, candidates) array, thresholded by
+    :func:`adaptive_thresholds` and center-prior tested by
+    :func:`_inside_mask` in one call each. maxiou clips only the rows whose
+    :func:`_iou_bounds` reach ``neg_thr``: a row below it can neither claim
+    nor enter the ignore band, and stays pending, at IoU 0, for the
+    fallback. Each gt claims its rows whose IoU is nonzero and meets its
+    threshold (maxiou: ``pos_thr``). Claims are resolved by IoU, maxiou
+    marks its ignore band, and :func:`_apply_fallback` serves the starved
+    gts from the same table, clipping pending rows where they could matter."""
     adaptive = isinstance(cfg, MasConfig)
     if not gts:  # every anchor's highest IoU is 0, in maxiou's ignore band at neg_thr 0
         label = NEGATIVE if adaptive or cfg.neg_thr > 0.0 else IGNORE
         return AssignmentResult(np.full(grid.num_anchors, label, dtype=int), np.empty(0), np.zeros(0, dtype=int))
     frames = np.array([_box_frame(gt.box) for gt in gts]).T  # six (gts,) columns
+    gt_area = np.array([gt.box.area for gt in gts])
     if adaptive:
         anchor, owner = _nearest_anchors(grid, frames[0], frames[1], cfg.candidate_k)
     else:
         corners = np.array(_corners(frames))  # (corner, x or y, gt)
-        anchor, owner = _overlapping_anchor_indices(grid, corners.min(0).T, corners.max(0).T)
+        lo, hi = corners.min(0), corners.max(0)
+        anchor, owner = _overlapping_anchor_indices(grid, lo.T, hi.T)
     (x, y), sides = grid.centers[anchor].T, grid.sizes[anchor]
     half = 0.5 * sides
-    squares = (x, y, math.cos(0.0), math.sin(0.0), half, half)
-    iou = _ious_between(frames[:, owner], np.array([gt.box.area for gt in gts])[owner], squares, sides * sides)
+    anchor_area = sides * sides
+
+    def clip(rows):
+        """The exact IoUs of ``rows`` (an index array or a slice)."""
+        square = (x[rows], y[rows], math.cos(0.0), math.sin(0.0), half[rows], half[rows])
+        return _ious_between(frames[:, owner[rows]], gt_area[owner[rows]], square, anchor_area[rows])
+
+    if adaptive:
+        iou = clip(slice(None))
+        pending, bound = np.empty(0, dtype=np.intp), np.empty(0)
+    else:
+        bound = _iou_bounds(lo, hi, owner, x, y, half, gt_area, frames[4], anchor_area)
+        exact = bound >= cfg.neg_thr
+        iou = np.zeros(anchor.size)
+        iou[exact] = clip(np.flatnonzero(exact))
+        pending = np.flatnonzero(~exact)
+        bound = bound[pending]
     eligible = iou > 0.0
     if adaptive:
         _, _, init = iou_statistics(iou.reshape(len(gts), -1))
@@ -507,7 +600,7 @@ def _assign(grid: AnchorGrid, gts, cfg: MasConfig | MaxIouConfig) -> AssignmentR
         max_iou = np.zeros(grid.num_anchors)
         np.maximum.at(max_iou, anchor, iou)
         gt_index[(max_iou >= cfg.neg_thr) & (gt_index == NEGATIVE)] = IGNORE
-    counts = _apply_fallback(gt_index, owner, anchor, iou, len(gts))
+    counts = _apply_fallback(gt_index, owner, anchor, iou, len(gts), pending, bound, clip)
     return AssignmentResult(gt_index=gt_index, thresholds=thresholds, positive_counts=counts)
 
 

@@ -995,6 +995,111 @@ def test_gt_coinciding_with_anchor_up_to_rounding(pyramid_grid, assign):
     assert result.thresholds[0] <= 1.0
 
 
+def assert_same_result(got, want):
+    # int64 views also compare the thresholds' bits
+    for name in ("gt_index", "thresholds", "positive_counts"):
+        assert np.array_equal(getattr(got, name).view(np.int64), getattr(want, name).view(np.int64)), name
+
+
+@st.composite
+def pruning_cases(draw):
+    """A maxiou scene and thresholds for the bound-pruned clipping: crowded
+    objects, objects far smaller (down to 1e-3 px) and far larger (up to
+    4096 px) than every anchor of `CROWDED_GRID` (32 to 512 px), and objects
+    on an anchor (IoU 1); ``neg_thr`` is 0, equal to ``pos_thr`` or anywhere
+    below it."""
+    gts = crowded_gts(draw(st.integers(0, 2**32 - 1)), draw(st.integers(0, 30)))
+    centre = st.floats(-64.0, 320.0)
+    for edges in (st.floats(1e-3, 4.0), st.floats(1024.0, 4096.0)):
+        for _ in range(draw(st.integers(0, 4))):
+            box = normalize_obb(draw(centre), draw(centre), draw(edges), draw(edges), draw(st.floats(-4, 4)))
+            gts.append(GroundTruth(box))
+    on_anchors = draw(st.lists(st.integers(0, CROWDED_GRID.num_anchors - 1), max_size=3))
+    gts += [GroundTruth(CROWDED_GRID.box(i)) for i in on_anchors]
+    thr = st.one_of(st.sampled_from([0.0, 0.05, 0.4, 0.5, 1.0]), st.floats(0.0, 1.0))
+    neg_thr = draw(thr)
+    pos_thr = draw(st.one_of(st.just(neg_thr), st.floats(neg_thr, 1.0)))
+    order = draw(st.permutations(range(len(gts))))
+    return [gts[i] for i in order], MaxIouConfig(pos_thr, neg_thr)
+
+
+@given(case=pruning_cases())
+@settings(max_examples=100, deadline=None)
+def test_pruned_maxiou_matches_per_gt_reference(case):
+    gts, cfg = case
+    assert_same_result(_assign(CROWDED_GRID, gts, cfg), reference_assign(CROWDED_GRID, gts, cfg))
+
+
+# One row of 2**14 cells of 64 px anchors (64 px stride) and one of 256 px
+# anchors: centres up to 1e6 px from the origin.
+FAR_GRID = generate_anchors((2**20, 64), [64.0, 256.0], 1)
+
+
+@given(
+    cx=st.floats(4e5, 5e5),
+    cy=st.floats(0.0, 64.0),
+    edges=st.tuples(st.floats(8.0, 300.0), st.floats(8.0, 300.0)),
+    theta=st.one_of(st.sampled_from([0.0, 1e-12, 1e-9, QP, 2 * QP]), st.floats(-QP, 3 * QP)),
+    pick=st.integers(0, 2**16),
+    step=st.sampled_from([-1e-12, -1, 0, 1, 1e-12]),
+    pos_step=st.sampled_from([0.0, 1e-12, 0.1, 1.0]),
+)
+@settings(max_examples=150, deadline=None)
+def test_rows_at_neg_thr_far_from_the_origin_are_clipped(cx, cy, edges, theta, pick, step, pos_step):
+    # neg_thr within 1e-12 (or one ulp) of a row's clipped IoU, so the bound
+    # margin alone decides whether that row is pending; axis-aligned boxes
+    # make the bound within rounding of the IoU
+    gt = GroundTruth(normalize_obb(cx, cy, *edges, theta))
+    cand = overlapping_anchors(FAR_GRID, gt.box)
+    ious = ious_against_anchors(FAR_GRID, [gt.box], np.zeros(cand.size, dtype=int), cand)
+    iou = float(ious[pick % ious.size])
+    neg_thr = min(1.0, max(0.0, np.nextafter(iou, step) if abs(step) == 1 else iou + step))
+    cfg = MaxIouConfig(min(1.0, neg_thr + pos_step), neg_thr)
+    neighbour = GroundTruth(normalize_obb(cx + edges[0] / 3, cy, edges[1], edges[0], theta + 0.1))
+    for gts in ([gt], [gt, neighbour]):
+        assert_same_result(_assign(FAR_GRID, gts, cfg), reference_assign(FAR_GRID, gts, cfg))
+
+
+def test_starved_gt_with_every_row_pending_takes_the_last_positive_of_another(monkeypatch):
+    # gt 0 is anchor a, its only row at IoU 1 >= 0.9; its other rows (0.6 at
+    # most) and every row of gt 1, a 20 px square inside a, are below
+    # neg_thr, so pending. gt 1 is starved and its best anchor is a: it takes
+    # a from gt 0, which is then starved and re-claims from pending rows.
+    grid = generate_anchors(64, [8], 4)
+    a = int(np.argmin(np.abs(grid.centers - [28, 28]).sum(axis=1)))
+    owner_of_a = GroundTruth(grid.box(a))
+    inside = GroundTruth(normalize_obb(28.0, 28.0, 20.0, 20.0, 0.0))
+    gts = [owner_of_a, inside]
+    cand = overlapping_anchors(grid, inside.box)
+    ious = ious_against_anchors(grid, [inside.box], np.zeros(cand.size, dtype=int), cand)
+    assert cand[np.argmax(ious)] == a and np.max(ious) < 0.9
+    calls = []
+    real = assignment._ious_between
+    monkeypatch.setattr(assignment, "_ious_between", lambda *args: calls.append(np.size(args[1])) or real(*args))
+    result = assign_maxiou(grid, gts, 0.9, 0.9)
+    assert calls[0] == 1  # only (gt 0, a) is clipped up front
+    assert result.gt_index[a] == 1
+    runner_up = anchor_ious(grid, [owner_of_a.box])[0]
+    runner_up[a] = 0.0
+    assert result.gt_index[int(np.argmax(runner_up))] == 0
+    assert result.positive_counts.tolist() == [1, 1]
+    assert_same_result(result, reference_assign(grid, gts, MaxIouConfig(0.9, 0.9)))
+
+
+def test_maxiou_clips_fewer_rows_than_its_overlap_table(pyramid_grid, monkeypatch):
+    rows = []
+    real = assignment._ious_between
+    monkeypatch.setattr(assignment, "_ious_between", lambda *args: rows.append(np.size(args[1])) or real(*args))
+    gts = list(generate_scene(SceneSpec(seed=3)).gts)
+    lo, hi = np.array([box_bounds(gt.box) for gt in gts]).transpose(1, 0, 2)
+    table = _overlapping_anchor_indices(pyramid_grid, lo, hi)[0].size
+    assign_maxiou(pyramid_grid, gts)
+    assert 0 < sum(rows) < table
+    rows.clear()
+    assign_maxiou(pyramid_grid, gts, 0.5, 0.0)
+    assert rows == [table]
+
+
 class TestThresholdMonotonicity:
     def test_dense_grid_pre_clamp(self):
         gammas = [3.0, 5.0, 7.0]

@@ -1027,3 +1027,75 @@ def test_any_offsets_and_feature_file_give_a_documented_exit(offsets, features, 
             warnings.simplefilter("error")
             code = run_cli(argv)
     assert code in (EXIT_OK, EXIT_CONFIG, EXIT_DATA)
+
+
+VALID_FILES = {
+    "config": json.dumps(SMALL_CONFIG, indent=1) + "\n",
+    "annotations": "10 10 30 10 30 20 10 20 plane 0\n40 5 44 9 36 17 32 13 ship 0\n",
+    "features": "2 2 1\n0.0 1.0\n2.0 3.0\n",
+    "offsets": json.dumps([[0.0, 0.0]] * 9, indent=1) + "\n",
+}
+# Every file flag: (file kind, subcommand); a config file fails with exit 2
+# and a data file with exit 3.
+FILE_FLAGS = [("config", c) for c in ("stats", "thresholds", "loss-check", "iou", "assign-file", "cfs-demo")]
+FILE_FLAGS += [("annotations", "assign-file"), ("features", "cfs-demo"), ("offsets", "cfs-demo")]
+
+
+@st.composite
+def file_contents(draw, kind):
+    """The bytes of a file of ``kind`` and whether it is valid: random
+    bytes, invalid UTF-8, a UTF-8 byte-order mark, CRLF line ends, empty,
+    lists or objects nested up to 10^5 deep, or the words "directory" and
+    "missing" for a directory and a missing path. Validity is None where
+    the bytes are random."""
+    valid = VALID_FILES[kind]
+    form = draw(st.sampled_from(["random", "not-utf-8", "bom", "crlf", "empty", "nested", "directory", "missing"]))
+    if form == "random":
+        return draw(st.binary(max_size=64)), None
+    if form == "not-utf-8":
+        text = valid.encode()
+        cut = draw(st.integers(0, len(text)))
+        return text[:cut] + draw(st.sampled_from([b"\xff", b"\xc3", b"\xed\xa0\x80", b"\x80abc"])) + text[cut:], False
+    if form == "bom":
+        # Python's utf-8 codec keeps the mark as U+FEFF, which no reader accepts
+        return b"\xef\xbb\xbf" + valid.encode(), False
+    if form == "crlf":
+        return valid.replace("\n", "\r\n").encode(), True
+    if form == "empty":
+        return b"", kind == "annotations"
+    if form == "nested":
+        depth = draw(st.one_of(st.integers(1, 2000), st.integers(2000, 100_000)))
+        opener, closer = draw(st.sampled_from([("[", "]"), ('{"scene": ', "}"), ('{"a": ', "}")]))
+        return (opener * depth + "0" + closer * depth).encode(), False
+    return form, False
+
+
+@given(flag=st.sampled_from(FILE_FLAGS), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_any_file_under_any_file_flag_gives_its_documented_exit(flag, data):
+    kind, command = flag
+    content, valid = data.draw(file_contents(kind))
+    failure = EXIT_CONFIG if kind == "config" else EXIT_DATA
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        argv = subcommand_argv(tmp, command)  # writes annotations.txt and features.txt
+        files = {name: tmp / f"{name}.txt" for name in VALID_FILES}
+        files["config"].write_text(VALID_FILES["config"])
+        files["offsets"].write_text(VALID_FILES["offsets"])
+        if kind == "offsets":
+            argv += ["--offsets", files["offsets"]]
+        target = files[kind]
+        if content == "directory":
+            target.unlink()
+            target.mkdir()
+        elif content == "missing":
+            target.unlink()
+        else:
+            target.write_bytes(content)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli([*argv, "--config", files["config"]])
+    if valid is None:
+        assert code in (EXIT_OK, failure)
+    else:
+        assert code == (EXIT_OK if valid else failure)
