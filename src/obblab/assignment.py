@@ -190,16 +190,14 @@ def generate_anchors(
         for stride, (w_cells, h_cells) in zip(cfg.strides, cfg.level_shapes(image_size))
     )
     bounds = np.cumsum([0] + [level.width * level.height for level in levels]).tolist()
-    centers = []
-    for level in levels:
-        ix, iy = np.meshgrid(np.arange(level.width), np.arange(level.height))
-        centers.append(np.stack([(ix.ravel() + 0.5) * level.stride, (iy.ravel() + 0.5) * level.stride], axis=1))
-    return AnchorGrid(
-        levels=levels,
-        centers=np.concatenate(centers, axis=0),
-        sizes=np.repeat([level.anchor_size for level in levels], np.diff(bounds)),
-        level_slices=tuple(map(slice, bounds, bounds[1:])),
-    )
+    level_slices = tuple(map(slice, bounds, bounds[1:]))
+    centers, sizes = np.empty((bounds[-1], 2)), np.empty(bounds[-1])
+    for level, cells in zip(levels, level_slices):
+        lattice = centers[cells].reshape(level.height, level.width, 2)
+        lattice[..., 0] = (np.arange(level.width) + 0.5) * level.stride
+        lattice[..., 1] = ((np.arange(level.height) + 0.5) * level.stride)[:, None]
+        sizes[cells] = level.anchor_size
+    return AnchorGrid(levels=levels, centers=centers, sizes=sizes, level_slices=level_slices)
 
 
 def angle_weight(theta: float) -> float:
@@ -346,6 +344,12 @@ def _window(values: np.ndarray, first: np.ndarray, count: np.ndarray) -> np.ndar
     return np.where(span < count[:, None], values[np.arange(len(values))[:, None], at], math.inf)
 
 
+def _runs(firsts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """The index runs ``firsts[i] : firsts[i] + sizes[i]``, one after the
+    other."""
+    return np.repeat(firsts - np.cumsum(sizes) + sizes, sizes) + np.arange(sizes.sum())
+
+
 def iou_statistics(candidate_ious) -> tuple[float, float, float]:
     """Mean, population standard deviation, and their sum (the adaptive
     initial threshold) of a candidate IoU list, as floats, or of each row
@@ -429,7 +433,7 @@ def _overlapping_anchor_indices(grid: AnchorGrid, lo: np.ndarray, hi: np.ndarray
     first, nc, nr = (np.stack(column, axis=1).ravel() for column in (firsts, col_counts, row_counts))
     sizes = nc * nr
     segment = np.repeat(np.arange(sizes.size), sizes)
-    row, col = np.divmod(np.arange(segment.size) - np.repeat(np.cumsum(sizes) - sizes, sizes), nc[segment])
+    row, col = np.divmod(_runs(np.zeros_like(sizes), sizes), nc[segment])
     anchor = first[segment] + row * np.tile(widths, len(lo))[segment] + col
     return anchor, segment // len(widths)
 
@@ -443,54 +447,54 @@ def _resolve_claims(gt_index: np.ndarray, anchors: np.ndarray, ious: np.ndarray,
     gt_index[anchors[first]] = gts[first]
 
 
-def _apply_fallback(
-    gt_index: np.ndarray,
-    owner: np.ndarray,
-    anchor: np.ndarray,
-    iou: np.ndarray,
-    num_gts: int,
-    pending: np.ndarray,
-    bound: np.ndarray,
-    clip,
-) -> np.ndarray:
+def _apply_fallback(gt_index: np.ndarray, table: _CandidateTable, num_gts: int) -> np.ndarray:
     """Give every starved gt a positive where it can; return the per-gt
     positive counts.
 
-    Works in rounds over the (gt, anchor, IoU) rows. Each gt with no
-    positive claims its best row of nonzero IoU whose anchor no round has
-    forced yet: the highest IoU, ties to the lowest anchor index, found
-    without a sort by ``np.maximum.at`` and ``np.minimum.at`` over the free
-    rows. The round's claims go through :func:`_resolve_claims`, and each
-    winner is forced positive, even over another gt's claim. A gt that lost
-    its last positive, or lost the contest, claims again in the next round.
-    Forced anchors are never claimed again, so the rounds end.
+    Works in rounds over the rows of ``table``. Each gt with no positive
+    claims its best row of nonzero IoU whose anchor no round has forced
+    yet: the highest IoU, ties to the lowest anchor index, found without a
+    sort by ``np.maximum.at`` and ``np.minimum.at`` over the free rows. The
+    round's claims go through :func:`_resolve_claims`, and each winner is
+    forced positive, even over another gt's claim. A gt that lost its last
+    positive, or lost the contest, claims again in the next round. Forced
+    anchors are never claimed again, so the rounds end, and a starved gt
+    left without a claim never has one again. The table is owner-major, so
+    a round reads only the rows of the gts that can still claim.
 
-    The ``pending`` rows hold IoU 0 in ``iou`` until ``clip(rows)`` gives
-    their exact IoUs, each at most its ``bound``. Before each pick, while a
-    starved gt has free pending rows whose bound reaches its best free IoU
-    b, the ones at or above half the gt's highest such bound are clipped.
-    The rows left pending then have IoUs below b, so they could neither win
-    nor tie the pick."""
+    Pending rows hold IoU 0 until ``table.clip`` gives their exact IoUs,
+    each at most its bound. Before each pick, while a starved gt has free
+    pending rows whose bound reaches its best free IoU b, the ones at or
+    above half the gt's highest such bound are clipped. The rows left
+    pending then have IoUs below b, so they could neither win nor tie the
+    pick."""
+    owner, anchor, iou = table.owner, table.anchor, table.iou
     counts = np.bincount(gt_index[gt_index >= 0], minlength=num_gts)
     forced = np.zeros(gt_index.shape, dtype=bool)
+    sizes = np.bincount(owner, minlength=num_gts)
+    firsts = np.cumsum(sizes) - sizes
+    spent = np.zeros(num_gts, dtype=bool)  # starved gts without a claim, now and in every later round
     while True:
-        starved = counts == 0
-        free = np.flatnonzero(starved[owner] & (iou > 0.0) & ~forced[anchor])
+        hungry = np.flatnonzero((counts == 0) & ~spent)
+        rows = _runs(firsts[hungry], sizes[hungry])
+        rows = rows[~forced[anchor[rows]]]
+        waiting = rows[table.pending[rows]]
+        free = rows[iou[rows] > 0.0]
         best = np.zeros(num_gts)  # each gt's best free IoU, 0 if it has no free row
         np.maximum.at(best, owner[free], iou[free])
-        while pending.size:
-            gt = owner[pending]
-            contenders = starved[gt] & ~forced[anchor[pending]] & (bound >= best[gt])
+        while waiting.size:
+            gt, bound = owner[waiting], table.bound[waiting]
+            contenders = bound >= best[gt]
             if not contenders.any():
                 break
             top = np.zeros(num_gts)
             np.maximum.at(top, gt[contenders], bound[contenders])
             take = contenders & (bound >= 0.5 * top[gt])
-            rows = pending[take]
-            pending, bound = pending[~take], bound[~take]
-            iou[rows] = clip(rows)
-            np.maximum.at(best, owner[rows], iou[rows])
-            free = np.concatenate([free, rows[iou[rows] > 0.0]])
+            clipped, waiting = waiting[take], waiting[~take]
+            table.clip(clipped)
+            np.maximum.at(best, owner[clipped], iou[clipped])
+            free = np.concatenate([free, clipped[iou[clipped] > 0.0]])
+        spent[hungry[best[hungry] == 0.0]] = True
         free = free[iou[free] == best[owner[free]]]
         lowest = np.full(num_gts, gt_index.size)  # the lowest anchor of that IoU
         np.minimum.at(lowest, owner[free], anchor[free])
@@ -537,28 +541,47 @@ def _iou_bounds(lo, hi, owner, x, y, half, gt_area, gt_half_w, anchor_area) -> n
     return np.divide(inter, union, out=np.full(union.shape, math.inf), where=union > 0.0)
 
 
-def _assign(grid: AnchorGrid, gts, cfg: MasConfig | MaxIouConfig) -> AssignmentResult:
-    """The labelling pipeline of all three strategies.
+@dataclass(eq=False)
+class _CandidateTable:
+    """The candidate stage of one scene: its gts' frames (six (gts,)
+    columns) and areas, and one (gt, anchor) row per candidate, owner-major,
+    with the anchor's centre (x, y), half side and area. ``iou`` holds a
+    row's exact IoU once :meth:`clip` has run on it, and 0 while the row is
+    ``pending``; ``bound`` (maxiou) is an upper bound on each row's IoU."""
 
-    The candidate anchors of every gt (the k nearest per level for ATSS and
-    MAS, the overlapping ones for maxiou) form one table of (gt, anchor,
-    IoU) rows, whose exact IoUs come from the clipping kernel. ATSS and MAS
-    clip every row in one call and give every gt as many candidates, so
-    their rows reshape to a (gts, candidates) array, thresholded by
-    :func:`adaptive_thresholds` and center-prior tested by
-    :func:`_inside_mask` in one call each. maxiou clips only the rows whose
-    :func:`_iou_bounds` reach ``neg_thr``: a row below it can neither claim
-    nor enter the ignore band, and stays pending, at IoU 0, for the
-    fallback. Each gt claims its rows whose IoU is nonzero and meets its
-    threshold (maxiou: ``pos_thr``). Claims are resolved by IoU, maxiou
-    marks its ignore band, and :func:`_apply_fallback` serves the starved
-    gts from the same table, clipping pending rows where they could matter."""
-    adaptive = isinstance(cfg, MasConfig)
-    if not gts:  # every anchor's highest IoU is 0, in maxiou's ignore band at neg_thr 0
-        label = NEGATIVE if adaptive or cfg.neg_thr > 0.0 else IGNORE
-        return AssignmentResult(np.full(grid.num_anchors, label, dtype=int), np.empty(0), np.zeros(0, dtype=int))
+    frames: np.ndarray
+    gt_area: np.ndarray
+    anchor: np.ndarray
+    owner: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    half: np.ndarray
+    anchor_area: np.ndarray
+    bound: np.ndarray | None = None
+
+    def __post_init__(self) -> None:
+        self.iou = np.zeros(self.anchor.size)
+        self.pending = np.ones(self.anchor.size, dtype=bool)
+
+    def clip(self, rows) -> None:
+        """Clip ``rows`` (an index array or a slice) to their exact IoUs."""
+        owner = self.owner[rows]
+        square = (self.x[rows], self.y[rows], math.cos(0.0), math.sin(0.0), self.half[rows], self.half[rows])
+        self.iou[rows] = _ious_between(self.frames[:, owner], self.gt_area[owner], square, self.anchor_area[rows])
+        self.pending[rows] = False
+
+
+def _candidates(grid: AnchorGrid, gts, cfg: MasConfig | MaxIouConfig) -> _CandidateTable | None:
+    """The candidate stage: the k nearest anchors per level of every gt
+    (ATSS and MAS), every row clipped, or the anchors each gt overlaps
+    (maxiou), clipped only where :func:`_iou_bounds` reaches ``neg_thr``:
+    a row below it can neither claim nor enter the ignore band, and stays
+    pending for the fallback. None for a scene without gts."""
+    if not gts:
+        return None
     frames = np.array([_box_frame(gt.box) for gt in gts]).T  # six (gts,) columns
     gt_area = np.array([gt.box.area for gt in gts])
+    adaptive = isinstance(cfg, MasConfig)
     if adaptive:
         anchor, owner = _nearest_anchors(grid, frames[0], frames[1], cfg.candidate_k)
     else:
@@ -566,42 +589,69 @@ def _assign(grid: AnchorGrid, gts, cfg: MasConfig | MaxIouConfig) -> AssignmentR
         lo, hi = corners.min(0), corners.max(0)
         anchor, owner = _overlapping_anchor_indices(grid, lo.T, hi.T)
     (x, y), sides = grid.centers[anchor].T, grid.sizes[anchor]
-    half = 0.5 * sides
-    anchor_area = sides * sides
+    half, anchor_area = 0.5 * sides, sides * sides
+    bound = None if adaptive else _iou_bounds(lo, hi, owner, x, y, half, gt_area, frames[4], anchor_area)
+    table = _CandidateTable(frames, gt_area, anchor, owner, x, y, half, anchor_area, bound)
+    table.clip(slice(None) if adaptive else np.flatnonzero(bound >= cfg.neg_thr))
+    return table
 
-    def clip(rows):
-        """The exact IoUs of ``rows`` (an index array or a slice)."""
-        square = (x[rows], y[rows], math.cos(0.0), math.sin(0.0), half[rows], half[rows])
-        return _ious_between(frames[:, owner[rows]], gt_area[owner[rows]], square, anchor_area[rows])
 
-    if adaptive:
-        iou = clip(slice(None))
-        pending, bound = np.empty(0, dtype=np.intp), np.empty(0)
-    else:
-        bound = _iou_bounds(lo, hi, owner, x, y, half, gt_area, frames[4], anchor_area)
-        exact = bound >= cfg.neg_thr
-        iou = np.zeros(anchor.size)
-        iou[exact] = clip(np.flatnonzero(exact))
-        pending = np.flatnonzero(~exact)
-        bound = bound[pending]
+def _label(grid: AnchorGrid, gts, cfg: MasConfig | MaxIouConfig, table: _CandidateTable | None) -> AssignmentResult:
+    """The labelling stage. ATSS and MAS give every gt as many candidates,
+    so their rows reshape to a (gts, candidates) array, thresholded by
+    :func:`adaptive_thresholds` and centre-prior tested by
+    :func:`_inside_mask` in one call each. Each gt claims its rows whose IoU
+    is nonzero and meets its threshold (maxiou: ``pos_thr``). Claims are
+    resolved by IoU, maxiou marks its ignore band, and
+    :func:`_apply_fallback` serves the starved gts from the same table. Only
+    the fallback writes into the table, when it clips pending rows, which
+    ATSS and MAS tables do not have."""
+    adaptive = isinstance(cfg, MasConfig)
+    if not gts:  # every anchor's highest IoU is 0, in maxiou's ignore band at neg_thr 0
+        label = NEGATIVE if adaptive or cfg.neg_thr > 0.0 else IGNORE
+        return AssignmentResult(np.full(grid.num_anchors, label, dtype=int), np.empty(0), np.zeros(0, dtype=int))
+    iou, owner, anchor = table.iou, table.owner, table.anchor
     eligible = iou > 0.0
     if adaptive:
         _, _, init = iou_statistics(iou.reshape(len(gts), -1))
         thresholds = adaptive_thresholds([gt.aspect for gt in gts], [gt.angle for gt in gts], init, cfg)[3]
         if cfg.use_center_prior:
-            eligible &= _inside_mask(frames[..., None], x.reshape(len(gts), -1), y.reshape(len(gts), -1)).ravel()
+            x, y = table.x.reshape(len(gts), -1), table.y.reshape(len(gts), -1)
+            eligible &= _inside_mask(table.frames[..., None], x, y).ravel()
     else:
         thresholds = np.full(len(gts), cfg.pos_thr)
     eligible &= iou >= thresholds[owner]
 
     gt_index = np.full(grid.num_anchors, NEGATIVE, dtype=int)
     _resolve_claims(gt_index, anchor[eligible], iou[eligible], owner[eligible])
-    if not adaptive:
-        max_iou = np.zeros(grid.num_anchors)
-        np.maximum.at(max_iou, anchor, iou)
-        gt_index[(max_iou >= cfg.neg_thr) & (gt_index == NEGATIVE)] = IGNORE
-    counts = _apply_fallback(gt_index, owner, anchor, iou, len(gts), pending, bound, clip)
+    if not adaptive:  # unclaimed anchors whose highest IoU (0 without a row) reaches neg_thr
+        band = anchor[iou >= cfg.neg_thr] if cfg.neg_thr > 0.0 else np.flatnonzero(gt_index == NEGATIVE)
+        gt_index[band[gt_index[band] == NEGATIVE]] = IGNORE
+    counts = _apply_fallback(gt_index, table, len(gts))
     return AssignmentResult(gt_index=gt_index, thresholds=thresholds, positive_counts=counts)
+
+
+def _assign_all(grid: AnchorGrid, gts, cfgs) -> list[AssignmentResult]:
+    """The labelling pipeline of all three strategies, for each config of
+    ``cfgs``: a candidate stage (:func:`_candidates`), then a labelling
+    stage (:func:`_label`). Each distinct candidate table is built once:
+    ATSS and MAS configs of one ``candidate_k`` share theirs. A maxiou
+    config gets a table of its own, as its fallback clips into it."""
+    shared = {}
+
+    def table(cfg):
+        if not isinstance(cfg, MasConfig):
+            return _candidates(grid, gts, cfg)
+        if cfg.candidate_k not in shared:
+            shared[cfg.candidate_k] = _candidates(grid, gts, cfg)
+        return shared[cfg.candidate_k]
+
+    return [_label(grid, gts, cfg, table(cfg)) for cfg in cfgs]
+
+
+def _assign(grid: AnchorGrid, gts, cfg: MasConfig | MaxIouConfig) -> AssignmentResult:
+    """:func:`_assign_all` of one config."""
+    return _assign_all(grid, gts, [cfg])[0]
 
 
 def assign_mas(grid: AnchorGrid, gts, cfg: MasConfig | None = None) -> AssignmentResult:

@@ -27,17 +27,14 @@ import numpy as np
 from .assignment import (
     ANGLE_DEPENDENT,
     CONSTANT_ONE,
-    AnchorGrid,
     AnchorsConfig,
-    AssignmentResult,
     MasConfig,
     MaxIouConfig,
     adaptive_thresholds,
-    assign_atss,
-    assign_maxiou,
-    assign_mas,
     generate_anchors,
     iou_statistics,
+    _assign,
+    _assign_all,
 )
 from .geometry import MAX_EXTENT, QUARTER_PI, HALF_PI, OrientedBox, normalize_obb, mc_iou_oracle, rotated_iou
 from .losses import (
@@ -298,19 +295,15 @@ def read_csv(path) -> tuple[str, list[str], list[list[str]]]:
     return schema_line.removeprefix("# schema: "), header, rows
 
 
-def _assign(strategy: str, grid: AnchorGrid, gts, cfg: RunConfig) -> AssignmentResult:
+def _strategy_config(strategy: str, cfg: RunConfig) -> MasConfig | MaxIouConfig:
+    """The assignment config of ``strategy``: ATSS is MAS with the shape
+    weight pinned to 1 and ``atss.k`` candidates per level."""
     if strategy == "maxiou":
-        return assign_maxiou(grid, gts, cfg.maxiou.pos_thr, cfg.maxiou.neg_thr)
+        return cfg.maxiou
     if strategy == "atss":
-        return assign_atss(
-            grid,
-            gts,
-            k=cfg.atss.k,
-            use_center_prior=cfg.mas.use_center_prior,
-            threshold_clamp=cfg.mas.threshold_clamp,
-        )
+        return replace(cfg.mas, candidate_k=cfg.atss.k, unit_weight=True)
     if strategy == "mas":
-        return assign_mas(grid, gts, cfg.mas)
+        return cfg.mas
     raise ConfigError(f"unknown strategy {strategy!r}")
 
 
@@ -328,12 +321,13 @@ def _bin_stats(values, positives, lo, hi, bins) -> BinnedStats:
 def run_assignment_stats(cfg: RunConfig, strategy: str, base_seed: int):
     """Generate scenes, assign, and bin positives by aspect and by angle."""
     grid = generate_anchors(cfg.scene.image_size, cfg.anchors.strides, cfg.anchors.scale_multiplier)
+    config = _strategy_config(strategy, cfg)
     aspects: list[float] = []
     angles: list[float] = []
     positives: list[int] = []
     for index in range(cfg.stats.scenes):
         scene = generate_scene(replace(cfg.scene, seed=base_seed + index))
-        result = _assign(strategy, grid, scene.gts, cfg)
+        result = _assign(grid, scene.gts, config)
         for g, gt in enumerate(scene.gts):
             aspects.append(gt.aspect)
             angles.append(gt.angle)
@@ -606,16 +600,15 @@ def cmd_assign_file(args: argparse.Namespace, cfg: RunConfig) -> int:
     gts, skipped = records_to_gts(parse_result.records, include_difficult=args.include_difficult)
 
     grid = generate_anchors(cfg.scene.image_size, cfg.anchors.strides, cfg.anchors.scale_multiplier)
-    comparison = {}
-    selected: AssignmentResult | None = None
-    for strategy in STRATEGIES:
-        result = _assign(strategy, grid, gts, cfg)
-        comparison[strategy] = {
+    results = dict(zip(STRATEGIES, _assign_all(grid, gts, [_strategy_config(s, cfg) for s in STRATEGIES])))
+    comparison = {
+        strategy: {
             "positives_total": int(result.num_positives),
             "zero_positive_gts": int(np.sum(result.positive_counts == 0)) if gts else 0,
         }
-        if strategy == args.strategy:
-            selected = result
+        for strategy, result in results.items()
+    }
+    selected = results[args.strategy]
     per_gt = []
     for g, gt in enumerate(gts):
         per_gt.append(

@@ -43,6 +43,11 @@ _MERGE_RTOL = 1e-12
 # spend most of their time faulting in fresh pages for their temporaries.
 _ORACLE_BLOCK = 8192
 
+# Rows per pass of `_ious_between`: its polygon buffers and temporaries grow
+# with the rows of a pass, not with those of the call. Each call the
+# benchmark's scenes make clips fewer rows, in one pass.
+_CLIP_BLOCK_ROWS = 65536
+
 
 class DegenerateQuadError(ValueError):
     """Raised for quads with (near-)zero area or non-convex vertex sets."""
@@ -338,7 +343,7 @@ def _iou(a: OrientedBox, b: OrientedBox) -> float:
 
 
 def _ious_between(a, a_area, b, b_area) -> np.ndarray:
-    """Row i: ``_iou(A_i, B_i)``, bit for bit, for all rows in one pass.
+    """Row i: ``_iou(A_i, B_i)``, bit for bit, for all rows at once.
     A_i and B_i are row i of the :func:`_box_frame` columns ``a`` and ``b``
     (arrays of one box per row; a float in ``b`` is shared by every row),
     with areas ``a_area[i]`` and ``b_area[i]``.
@@ -347,7 +352,20 @@ def _ious_between(a, a_area, b, b_area) -> np.ndarray:
     the same IEEE operations in the same order. The polygons sit in (x, y)
     planes of (slots, rows) with a vertex count per row; slot 0 repeats
     each polygon's last vertex, so that slot j - 1 holds the vertex before
-    slot j."""
+    slot j. Rows are independent, so clipping them ``_CLIP_BLOCK_ROWS`` at
+    a time changes no bits."""
+    n = np.size(a_area)
+    iou = np.empty(n)
+    for start in range(0, n, _CLIP_BLOCK_ROWS):
+        rows = slice(start, start + _CLIP_BLOCK_ROWS)
+        *a_rows, a_area_rows = (v[rows] if np.ndim(v) else v for v in (*a, a_area))
+        *b_rows, b_area_rows = (v[rows] if np.ndim(v) else v for v in (*b, b_area))
+        iou[rows] = _clipped_ious(a_rows, a_area_rows, b_rows, b_area_rows)
+    return iou
+
+
+def _clipped_ious(a, a_area, b, b_area) -> np.ndarray:
+    """`_ious_between` of one block of rows."""
     n = np.size(a_area)
     # Two ping-pong buffers. Four clip edges take a quad to at most 8
     # vertices, which sit between the closing slot and a slot that closes

@@ -1100,6 +1100,95 @@ def test_maxiou_clips_fewer_rows_than_its_overlap_table(pyramid_grid, monkeypatc
     assert rows == [table]
 
 
+@STRATEGIES
+def test_fallback_rounds_read_only_the_rows_of_gts_that_can_claim(monkeypatch, assign):
+    # a round's winners hold forced anchors for good, so every round after
+    # the first reads the runs of fewer gts than the whole table
+    tables, rounds = [], []
+    fallback, runs = assignment._apply_fallback, assignment._runs
+
+    def spy_fallback(gt_index, table, num_gts):
+        tables.append(table.owner.size)
+        return fallback(gt_index, table, num_gts)
+
+    def spy_runs(firsts, sizes):
+        if tables:  # inside the fallback
+            rounds.append(int(sizes.sum()))
+        return runs(firsts, sizes)
+
+    monkeypatch.setattr(assignment, "_apply_fallback", spy_fallback)
+    monkeypatch.setattr(assignment, "_runs", spy_runs)
+    assign(CROWDED_GRID, crowded_gts(90034, 40))
+    assert len(rounds) >= 3
+    assert all(rows < tables[0] for rows in rounds[1:])
+
+
+@st.composite
+def config_lists(draw):
+    """The configs of one multi-config call: up to three drawn by
+    `assignment_configs`, plus an ATSS and a MAS config that share their
+    candidate_k or not, each with the centre prior on or off, in any
+    order. k runs from 1 to past the 4 cells of the coarsest level."""
+    k = draw(st.integers(1, 16))
+    atss_k = draw(st.sampled_from([k, draw(st.integers(1, 16))]))
+    atss = MasConfig(candidate_k=atss_k, use_center_prior=draw(st.booleans()), unit_weight=True)
+    mas = MasConfig(candidate_k=k, use_center_prior=draw(st.booleans()))
+    return draw(st.permutations([*draw(st.lists(assignment_configs(), max_size=3)), atss, mas]))
+
+
+@given(
+    gts=st.one_of(st.just([]), st.integers(0, 2**32 - 1).map(lambda seed: crowded_gts(seed, 1)), crowded_scenes()),
+    cfgs=config_lists(),
+)
+@example(gts=[], cfgs=[MaxIouConfig(0.0, 0.0), MasConfig(unit_weight=True), MasConfig()])
+@example(gts=crowded_gts(90034, 1), cfgs=[MasConfig(candidate_k=1, unit_weight=True), MasConfig(candidate_k=1)])
+@example(
+    gts=crowded_gts(90034, 40),
+    cfgs=[
+        MaxIouConfig(),
+        MaxIouConfig(0.5, 0.1),
+        MasConfig(candidate_k=5, unit_weight=True),
+        MasConfig(candidate_k=16, use_center_prior=False),
+    ],
+)
+@settings(max_examples=40, deadline=None)
+def test_one_call_labels_each_config_as_its_own_call(gts, cfgs):
+    results = assignment._assign_all(CROWDED_GRID, gts, cfgs)
+    assert len(results) == len(cfgs)
+    for got, cfg in zip(results, cfgs):
+        assert_same_result(got, _assign(CROWDED_GRID, gts, cfg))
+        assert_same_result(got, reference_assign(CROWDED_GRID, gts, cfg))
+
+
+def meshgrid_anchors(image_size, strides, scale_multiplier):
+    """The centres and sides of the anchor grid, built level by level by
+    meshgrid, stack and concatenate."""
+    cfg = AnchorsConfig(tuple(float(s) for s in strides), scale_multiplier)
+    levels = [(stride, w, h, stride * scale_multiplier) for stride, (w, h) in zip(cfg.strides, cfg.level_shapes(image_size))]
+    bounds = np.cumsum([0] + [w * h for _, w, h, _ in levels]).tolist()
+    centers = []
+    for stride, w, h, _ in levels:
+        ix, iy = np.meshgrid(np.arange(w), np.arange(h))
+        centers.append(np.stack([(ix.ravel() + 0.5) * stride, (iy.ravel() + 0.5) * stride], axis=1))
+    return np.concatenate(centers, axis=0), np.repeat([side for *_, side in levels], np.diff(bounds))
+
+
+@given(
+    size=st.tuples(st.integers(1, 300), st.integers(1, 300)),
+    strides=st.lists(st.sampled_from([1.0, 2.5, 3.0, 7.3, 8.0, 16.0, 100.0, 512.0]), min_size=1, max_size=4, unique=True),
+    multiplier=st.one_of(st.sampled_from([1.0, 4.0]), st.floats(0.1, 10.0)),
+)
+@example(size=(1, 1), strides=[8.0], multiplier=4.0)
+@example(size=(100, 60), strides=[7.3, 32.0], multiplier=2.5)
+@settings(max_examples=100, deadline=None)
+def test_anchor_grid_matches_meshgrid_construction(size, strides, multiplier):
+    grid = generate_anchors(size, sorted(strides), multiplier)
+    centers, sizes = meshgrid_anchors(size, sorted(strides), multiplier)
+    for got, want in ((grid.centers, centers), (grid.sizes, sizes)):
+        assert got.shape == want.shape and got.dtype == want.dtype == np.float64
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 class TestThresholdMonotonicity:
     def test_dense_grid_pre_clamp(self):
         gammas = [3.0, 5.0, 7.0]

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import tempfile
@@ -11,7 +12,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from obblab.assignment import ANGLE_DEPENDENT, CONSTANT_ONE, MasConfig, iou_statistics, saturating_exp, shape_exponent
 
-from obblab import cli
+from obblab import assignment, cli
 from obblab.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
@@ -766,6 +767,35 @@ class TestAssignFileCommand:
             assert run_cli(["assign-file", clean, "--out", out, "--image-size", "512", "512"]) == EXIT_OK
             outs.append(read_tree(out))
         assert outs[0] == outs[1]
+
+
+# sha256 of assign_report.json for the clean fixture at 1024 x 1024, as
+# written when ATSS and MAS each built their own candidate table
+SEPARATE_TABLE_REPORTS = {
+    ("atss", 9): "6fdff99dcdeb2a7ae8c5a16879d2e61eec7e780bcc319717675b720c21157aac",
+    ("mas", 9): "cdc6803bb54ed3dca0f3ff9728dedb15f48f1807cf39ae8a03277cfc6b2422fb",
+    ("atss", 5): "56f58d6d07e9350db8df290228cf05bf3af9506b9086324d6090c5d05b6fea5d",
+    ("mas", 5): "ef2c539ef5a36fa478a089706f1eee8e94204f68cac15bf0deba2f88f78b7a6c",
+}
+
+
+@pytest.mark.parametrize("strategy, atss_k", SEPARATE_TABLE_REPORTS)
+def test_assign_file_shares_one_candidate_table_between_atss_and_mas(tmp_path, monkeypatch, strategy, atss_k):
+    # one nearest-anchor search when atss.k == mas.candidate_k (9), two
+    # otherwise; the report is the same bytes either way
+    lines = FIXTURE.read_text().splitlines()
+    del lines[29]  # the malformed line
+    (tmp_path / "scene.txt").write_text("\n".join(lines) + "\n")
+    (tmp_path / "config.json").write_text(json.dumps({"atss": {"k": atss_k}}))
+    monkeypatch.chdir(tmp_path)  # the report names the annotation path
+    searches = []
+    nearest = assignment._nearest_anchors
+    monkeypatch.setattr(assignment, "_nearest_anchors", lambda *args: searches.append(args[3]) or nearest(*args))
+    argv = ["assign-file", "scene.txt", "--config", "config.json", "--strategy", strategy, "--out", "out"]
+    assert run_cli([*argv, "--image-size", "1024", "1024"]) == EXIT_OK
+    assert searches == ([9] if atss_k == 9 else [atss_k, 9])  # ATSS, then MAS
+    digest = hashlib.sha256((tmp_path / "out" / "assign_report.json").read_bytes()).hexdigest()
+    assert digest == SEPARATE_TABLE_REPORTS[strategy, atss_k]
 
 
 class TestCfsDemoCommand:

@@ -1,9 +1,11 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from obblab import geometry
 from obblab.geometry import (
     ConvexQuad,
     DegenerateQuadError,
@@ -435,6 +437,21 @@ class TestBatchedClipping:
             for g, (cx, cy), side in zip(owner.tolist(), centers.tolist(), sides.tolist())
         ]
         assert np.array_equal(as_bits(got), as_bits(want))
+
+    @given(pairs=st.lists(box_pairs(), min_size=1, max_size=8), block=st.integers(1, 4))
+    @settings(max_examples=100, deadline=None)
+    def test_rows_clipped_in_blocks_match_scalar(self, pairs, block):
+        subjects, clips = zip(*pairs)
+        areas = [np.array([box.area for box in boxes]) for boxes in (subjects, clips)]
+        with mock.patch.object(geometry, "_CLIP_BLOCK_ROWS", block):
+            got = _ious_between(frame_columns(subjects), areas[0], frame_columns(clips), areas[1])
+        assert np.array_equal(as_bits(got), as_bits([_iou(a, b) for a, b in pairs]))
+
+    def test_squares_clipped_in_blocks_match_scalar(self):
+        # six rows in blocks of four and two; the squares' cos and sin are
+        # floats shared by every row
+        with mock.patch.object(geometry, "_CLIP_BLOCK_ROWS", 4):
+            self.test_rows_in_any_owner_order()
 
     def test_disjoint_rows_clip_to_nothing(self):
         boxes = [normalize_obb(0, 0, 4, 2, 0.3)]
