@@ -39,8 +39,8 @@ _MIN_EDGE = 1e-9
 # real gap of 1e-9 px alone.
 _MERGE_RTOL = 1e-12
 
-# Samples per mask pass of the Monte-Carlo oracle: masks over whole batches
-# spend most of their time faulting in fresh pages for their temporaries.
+# Samples drawn and masked per pass of the Monte-Carlo oracle: draws and
+# masks over whole batches spend most of their time faulting in fresh pages.
 _ORACLE_BLOCK = 8192
 
 # Rows per pass of `_ious_between`: its polygon buffers and temporaries grow
@@ -516,20 +516,26 @@ def mc_iou_oracle(a: OrientedBox, b: OrientedBox, samples: int, seed: int) -> fl
     corners = np.array(_corners(frame_a) + _corners(frame_b))
     lo = corners.min(axis=0)
     hi = corners.max(axis=0)
-    rng = np.random.default_rng(seed)
+    # The samples are batches of up to 10**6 x draws, then as many y draws,
+    # from one PCG64 stream. Two generators on that stream walk a batch's x
+    # and y draws side by side, one block at a time, and each skips what the
+    # other draws.
+    rng_x, rng_y = np.random.default_rng(seed), np.random.default_rng(seed)
     inter_hits = 0
     union_hits = 0
     remaining = samples
     while remaining > 0:
         n = min(remaining, 1_000_000)
-        x = rng.uniform(lo[0], hi[0], n)
-        y = rng.uniform(lo[1], hi[1], n)
+        rng_y.bit_generator.advance(n)
         for start in range(0, n, _ORACLE_BLOCK):
-            block = slice(start, start + _ORACLE_BLOCK)
-            in_a = _inside_mask(frame_a, x[block], y[block])
-            in_b = _inside_mask(frame_b, x[block], y[block])
+            size = min(_ORACLE_BLOCK, n - start)
+            x = rng_x.uniform(lo[0], hi[0], size)
+            y = rng_y.uniform(lo[1], hi[1], size)
+            in_a = _inside_mask(frame_a, x, y)
+            in_b = _inside_mask(frame_b, x, y)
             inter_hits += int(np.count_nonzero(in_a & in_b))
             union_hits += int(np.count_nonzero(in_a | in_b))
+        rng_x.bit_generator.advance(n)
         remaining -= n
     if union_hits == 0:
         return 0.0

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import logging
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -21,9 +22,11 @@ from .assignment import AnchorGrid, AssignmentResult
 logger = logging.getLogger(__name__)
 
 _PROB_EPS = 1e-12
-# Rows of the (scored anchors, classes) focal array filled per pass; bounds
-# the classification buffers of multi_task_loss. With 15 classes a block
-# buffer (120 KiB) stays under malloc's default 128 KiB mmap threshold; on a
+# Rows of the (scored anchors, classes) focal array per run of the pairwise
+# sum; bounds the classification buffers of multi_task_loss. A run holds at
+# most this many rows' worth of elements, but one that starts mid-row spans
+# one row more, so the buffers hold _BLOCK_ROWS + 1 rows: with 15 classes
+# that is 120.1 KiB, under malloc's default 128 KiB mmap threshold. On a
 # 2-CPU x86-64 VM, 1024 rows ran faster, with a lower peak RSS, than 4096
 # (BENCH_11.json).
 _BLOCK_ROWS = 1024
@@ -183,6 +186,10 @@ def focal_loss(
     This is the elementwise view of the kernel that :func:`multi_task_loss`
     runs in blocks over a scene: the same two branch evaluations, with
     ``t == 1`` picking the positive one.
+
+    A scalar ``p`` (Python or NumPy) and the same value inside an array can
+    give results one ulp apart: a NumPy scalar's ``**`` calls libm ``pow``,
+    which rounds differently from NumPy's array power loop.
     """
     p = np.clip(np.asarray(p, dtype=float), _PROB_EPS, 1.0 - _PROB_EPS)
     neg = np.empty(p.shape)
@@ -277,6 +284,20 @@ def build_loss_targets(grid: AnchorGrid, gts, assignment: AssignmentResult) -> L
     return LossTargets(deltas=deltas, class_ids=class_ids)
 
 
+def _pairwise_sum(run_sum, start: int, n: int, leaf: int) -> float:
+    """``np.add.reduce`` of the ``n`` contiguous float64 elements from
+    ``start``, added by NumPy's pairwise tree: a run of m > 128 elements is
+    the sum of its first m // 2 - (m // 2) % 8 elements plus the sum of the
+    rest. ``run_sum(start, stop)`` reduces a run of at most ``leaf`` (> 128)
+    elements. Module-level: a nested function that calls itself is a
+    reference cycle, which holds each call's buffers until a garbage
+    collection."""
+    if n <= leaf:
+        return run_sum(start, start + n)
+    half = n // 2 - (n // 2) % 8
+    return _pairwise_sum(run_sum, start, half, leaf) + _pairwise_sum(run_sum, start + half, n - half, leaf)
+
+
 def _focal_sum(
     cls_pred: np.ndarray,
     scored_rows: np.ndarray | None,
@@ -289,25 +310,42 @@ def _focal_sum(
     """Summed focal loss of one head over the scored anchors (all of them
     when ``scored_rows`` is None), one class column per positive.
 
-    The (scored, classes) loss array is filled ``_BLOCK_ROWS`` rows at a
-    time through reused buffers, so the temporaries stay block-sized; its
-    element values and layout equal those of :func:`focal_loss` on the
-    gathered rows, and so does the sum.
+    The result is ``np.sum`` of the (scored, classes) loss array, whose
+    elements are those of :func:`focal_loss` on the gathered rows, but that
+    array is never built. Each node of NumPy's pairwise tree over it is
+    ``np.add.reduce`` of its own run, so :func:`_pairwise_sum` cuts the tree
+    into runs of at most ``_BLOCK_ROWS`` x classes elements. Each run's
+    covering rows are filled in reused buffers, the negative branch first
+    and then the positives that fall in the run, the run is reduced, and the
+    run sums are added as the tree adds them: the same bits as ``np.sum``.
     """
     num_rows = cls_pred.shape[0] if scored_rows is None else scored_rows.size
     num_classes = cls_pred.shape[1]
-    out = np.empty((num_rows, num_classes))
-    p_buf = np.empty((min(num_rows, _BLOCK_ROWS), num_classes))
-    log_buf = np.empty_like(p_buf)
-    for start in range(0, num_rows, _BLOCK_ROWS):
-        stop = min(start + _BLOCK_ROWS, num_rows)
-        rows = cls_pred[start:stop] if scored_rows is None else cls_pred[scored_rows[start:stop]]
-        p = np.clip(rows, _PROB_EPS, 1.0 - _PROB_EPS, out=p_buf[: stop - start])
-        _focal_negatives(p, alpha, gamma, out[start:stop], log_buf[: stop - start])
     cols = np.clip(class_ids, 0, num_classes - 1)
-    hot = np.clip(cls_pred[pos_idx, cols], _PROB_EPS, 1.0 - _PROB_EPS)
-    out[pos_rows, cols] = _focal_positives(hot, alpha, gamma)
-    return float(np.sum(out))
+    hot = _focal_positives(np.clip(cls_pred[pos_idx, cols], _PROB_EPS, 1.0 - _PROB_EPS), alpha, gamma)
+    # pos_rows ascends, so the positives' flat indices do too
+    flat = pos_rows * num_classes + cols
+    flat_list = flat.tolist()
+    p_buf = np.empty((min(num_rows, _BLOCK_ROWS + 1), num_classes))
+    log_buf = np.empty_like(p_buf)
+    out_buf = np.empty_like(p_buf)
+    out_flat = out_buf.reshape(-1)
+
+    def run_sum(start: int, stop: int) -> float:
+        r0, r1 = start // num_classes, -(-stop // num_classes)  # the rows that cover the run
+        base = r0 * num_classes
+        p = p_buf[: r1 - r0]
+        if scored_rows is None:
+            cls_pred[r0:r1].clip(_PROB_EPS, 1.0 - _PROB_EPS, out=p)
+        else:  # mode "raise" would buffer ``out``; the rows are in range
+            np.take(cls_pred, scored_rows[r0:r1], axis=0, out=p, mode="clip").clip(_PROB_EPS, 1.0 - _PROB_EPS, out=p)
+        _focal_negatives(p, alpha, gamma, out_buf[: r1 - r0], log_buf[: r1 - r0])
+        i0, i1 = bisect_left(flat_list, start), bisect_left(flat_list, stop)
+        if i1 > i0:
+            out_flat[flat[i0:i1] - base] = hot[i0:i1]
+        return float(np.add.reduce(out_flat[start - base : stop - base]))
+
+    return _pairwise_sum(run_sum, 0, num_rows * num_classes, _BLOCK_ROWS * num_classes)
 
 
 def multi_task_loss(
@@ -330,9 +368,10 @@ def multi_task_loss(
 
     Both heads are scored in one pass: the positive and scored anchors, the
     norm and the targets are found once. Classification runs in blocks of
-    rows, so its memory beyond the (scored, classes) loss array is bounded
-    by the block, and the result equals the per-head
-    :func:`focal_loss` composition bit for bit.
+    rows and never builds the (scored, classes) loss array, so its working
+    memory is bounded by the block, and the result equals the per-head
+    :func:`focal_loss` composition bit for bit. Class probabilities need at
+    least one class column.
     """
     cfg = cfg or MultiTaskLossConfig()
     heads = [(cfg.alpha_init, deltas_pred, cls_pred)]
@@ -360,7 +399,7 @@ def multi_task_loss(
             head_cls = head_cls[:, None]
         if head_deltas.shape != (num_anchors, 5):
             raise ValueError(f"deltas_pred shape {head_deltas.shape} != ({num_anchors}, 5)")
-        if head_cls.ndim != 2 or head_cls.shape[0] != num_anchors:
+        if head_cls.ndim != 2 or head_cls.shape[0] != num_anchors or head_cls.shape[1] == 0:
             raise ValueError(f"cls_pred shape {head_cls.shape} != ({num_anchors}, classes)")
         reg_sum = 0.0
         if pos_idx.size:

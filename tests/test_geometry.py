@@ -1,4 +1,6 @@
+import gc
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -21,10 +23,12 @@ from obblab.geometry import (
     quad_to_obb,
     rotated_iou,
     signed_area,
+    _ORACLE_BLOCK,
     _box_frame,
     _clip_polygon,
     _clip_rows,
     _corners,
+    _inside_mask,
     _iou,
     _ious_between,
     _merge_close,
@@ -338,6 +342,88 @@ class TestMcOracle:
         box = normalize_obb(0, 0, 1, 1, 0)
         with pytest.raises(ValueError):
             mc_iou_oracle(box, box, 0, 0)
+
+    @pytest.mark.parametrize("samples", [1, 8191, 8192, 8193, 1_000_000, 1_000_001, 2_500_000])
+    def test_streamed_draws_equal_the_all_at_once_form(self, samples):
+        a = normalize_obb(0, 0, 10, 4, 0.3)
+        b = normalize_obb(2, 1, 7, 5, -0.4)
+        for seed in (0, 7):
+            assert _bits(mc_iou_oracle(a, b, samples, seed)) == _bits(reference_mc_iou_oracle(a, b, samples, seed))
+
+    def test_streamed_samples_are_the_all_at_once_draws(self):
+        a = normalize_obb(0, 0, 10, 4, 0.3)
+        b = normalize_obb(2, 1, 7, 5, -0.4)
+        seen = []
+
+        def spy(frame, x, y):
+            if frame == _box_frame(a):
+                seen.append((x.copy(), y.copy()))
+            return _inside_mask(frame, x, y)
+
+        with mock.patch.object(geometry, "_inside_mask", spy):
+            mc_iou_oracle(a, b, 1_000_003, 11)
+        corners = np.array(_corners(_box_frame(a)) + _corners(_box_frame(b)))
+        lo, hi = corners.min(axis=0), corners.max(axis=0)
+        rng = np.random.default_rng(11)
+        want = []
+        for n in (1_000_000, 3):
+            want.append((rng.uniform(lo[0], hi[0], n), rng.uniform(lo[1], hi[1], n)))
+        for axis in (0, 1):
+            got = np.concatenate([pair[axis] for pair in seen])
+            assert np.array_equal(got.view(np.int64), np.concatenate([pair[axis] for pair in want]).view(np.int64))
+
+    def test_working_memory_does_not_grow_with_the_samples(self):
+        a = normalize_obb(0, 0, 10, 4, 0.3)
+        b = normalize_obb(2, 1, 7, 5, -0.4)
+        tracemalloc.start()
+        try:
+            mc_iou_oracle(a, b, 1_000_000, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6  # the samples alone are 16 MB
+
+    def test_leaves_no_garbage_cycles(self):
+        a = normalize_obb(0, 0, 10, 4, 0.3)
+        b = normalize_obb(2, 1, 7, 5, -0.4)
+        gc.collect()
+        gc.disable()
+        try:
+            mc_iou_oracle(a, b, 20_000, 1)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+
+def _bits(value):
+    return np.float64(value).view(np.int64)
+
+
+# mc_iou_oracle as it stood before it streamed its draws, drawing each batch
+# of up to 10**6 samples at once: the oracle of the streamed form.
+def reference_mc_iou_oracle(a, b, samples, seed):
+    frame_a, frame_b = _box_frame(a), _box_frame(b)
+    corners = np.array(_corners(frame_a) + _corners(frame_b))
+    lo = corners.min(axis=0)
+    hi = corners.max(axis=0)
+    rng = np.random.default_rng(seed)
+    inter_hits = 0
+    union_hits = 0
+    remaining = samples
+    while remaining > 0:
+        n = min(remaining, 1_000_000)
+        x = rng.uniform(lo[0], hi[0], n)
+        y = rng.uniform(lo[1], hi[1], n)
+        for start in range(0, n, _ORACLE_BLOCK):
+            block = slice(start, start + _ORACLE_BLOCK)
+            in_a = _inside_mask(frame_a, x[block], y[block])
+            in_b = _inside_mask(frame_b, x[block], y[block])
+            inter_hits += int(np.count_nonzero(in_a & in_b))
+            union_hits += int(np.count_nonzero(in_a | in_b))
+        remaining -= n
+    if union_hits == 0:
+        return 0.0
+    return inter_hits / union_hits
 
 
 class TestSmallOps:

@@ -1,5 +1,7 @@
+import gc
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from obblab.assignment import IGNORE, NEGATIVE, AssignmentResult, GroundTruth, M
 from obblab.geometry import normalize_obb
 from obblab.losses import (
     _BLOCK_ROWS,
+    _focal_sum,
     BetaState,
     BoxDelta,
     LossTargets,
@@ -347,6 +350,17 @@ class TestMultiTaskLoss:
         with pytest.raises(ValueError, match="deltas_pred"):
             multi_task_loss(assignment, deltas, cls, targets, refined_deltas=deltas[1:], refined_cls=cls)
 
+    @pytest.mark.parametrize("head", ["cls_pred", "refined_cls"])
+    def test_zero_class_columns_rejected(self, small_assignment, head):
+        grid, gts, assignment = small_assignment
+        targets = build_loss_targets(grid, gts, assignment)
+        assert assignment.num_positives > 0
+        n = grid.num_anchors
+        deltas, cls = np.zeros((n, 5)), np.full((n, 2), 0.5)
+        given = {"cls_pred": cls, "refined_cls": cls} | {head: np.zeros((n, 0))}
+        with pytest.raises(ValueError, match="cls_pred"):
+            multi_task_loss(assignment, deltas, given["cls_pred"], targets, refined_deltas=deltas, refined_cls=given["refined_cls"])
+
     @pytest.mark.parametrize("given_part", ["refined_deltas", "refined_cls"])
     def test_half_refined_head_rejected(self, small_assignment, given_part):
         grid, gts, assignment = small_assignment
@@ -507,6 +521,123 @@ def test_block_boundary_inside_positives_bit_identical():
     cfg = MultiTaskLossConfig()
     got = multi_task_loss(assignment, *heads[0], targets, cfg, refined_deltas=heads[1][0], refined_cls=heads[1][1])
     assert (got.reg_loss, got.cls_loss, got.total) == _oracle_loss(assignment, heads, targets, cfg)
+
+
+# ------------------------------------ the pairwise focal sum as np.sum of the array
+#
+# _focal_sum never builds the (scored, classes) loss array; its result must
+# still be np.sum of that array, bit for bit, however the runs of NumPy's
+# pairwise tree cut the rows.
+
+
+def _bits(value):
+    return np.float64(value).view(np.int64)
+
+
+def _run_starts(n, leaf, start=0):
+    """Where, after the first, the runs of at most ``leaf`` elements of
+    NumPy's pairwise sum of n elements start."""
+    if n <= leaf:
+        return []
+    half = n // 2 - (n // 2) % 8
+    return _run_starts(half, leaf, start) + [start + half] + _run_starts(n - half, leaf, start + half)
+
+
+@st.composite
+def focal_sum_cases(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    num_anchors = draw(st.one_of(
+        st.integers(1, 300),
+        st.integers(1, 210_000),
+        st.sampled_from([_BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 3, 21_824, 200_001]),
+    ))
+    num_classes = draw(st.sampled_from([1, 3, 15, 16]))
+    cls_pred = _probabilities(rng, (num_anchors, num_classes))
+    if draw(st.booleans()):
+        cls_pred[:] = draw(st.sampled_from(EXTREMES.tolist()))  # every probability on or past the clamp
+    scored_rows = None
+    if draw(st.booleans()):
+        scored_rows = np.flatnonzero(rng.random(num_anchors) < draw(st.sampled_from([0.0, 0.3, 0.9])))
+    num_rows = num_anchors if scored_rows is None else scored_rows.size
+    class_of_row = rng.integers(-3, 20, num_rows)
+    positive = rng.random(num_rows) < draw(st.sampled_from([0.0, 0.001, 0.05, 1.0]))
+    if draw(st.booleans()):
+        # positives on the first or last element of each run, which may
+        # share a row with the run next to it
+        for start in _run_starts(num_rows * num_classes, _BLOCK_ROWS * num_classes):
+            flat = start - int(rng.integers(0, 2))
+            positive[flat // num_classes] = True
+            class_of_row[flat // num_classes] = flat % num_classes
+    pos_rows = np.flatnonzero(positive)
+    pos_idx = pos_rows if scored_rows is None else scored_rows[pos_rows]
+    # alpha 1 zeroes the negative branch; above 1 it turns negative
+    alpha = draw(st.sampled_from([0.25, 0.9, 1.0, 1.5]))
+    return cls_pred, scored_rows, pos_idx, pos_rows, class_of_row[pos_rows], alpha, draw(GAMMAS)
+
+
+@given(case=focal_sum_cases())
+@settings(max_examples=60, deadline=None)
+def test_focal_sum_bit_identical_to_sum_of_the_loss_array(case):
+    cls_pred, scored_rows, pos_idx, pos_rows, class_ids, alpha, gamma = case
+    rows = cls_pred if scored_rows is None else cls_pred[scored_rows]
+    hot = np.zeros(rows.shape, dtype=int)
+    hot[pos_rows, np.clip(class_ids, 0, rows.shape[1] - 1)] = 1
+    want = np.sum(_where_focal(rows, hot, alpha, gamma))
+    got = _focal_sum(cls_pred, scored_rows, pos_idx, pos_rows, class_ids, alpha, gamma)
+    assert type(got) is float
+    assert _bits(got) == _bits(want)
+
+    gt_index = np.full(cls_pred.shape[0], IGNORE if scored_rows is not None else NEGATIVE)
+    if scored_rows is not None:
+        gt_index[scored_rows] = NEGATIVE
+    gt_index[pos_idx] = 0
+    targets = LossTargets(deltas=np.zeros((cls_pred.shape[0], 5)), class_ids=np.zeros(cls_pred.shape[0], dtype=int))
+    targets.class_ids[pos_idx] = class_ids
+    assignment = AssignmentResult(gt_index=gt_index, thresholds=np.array([0.5]), positive_counts=np.array([pos_idx.size]))
+    heads = [(np.ones((cls_pred.shape[0], 5)), cls_pred)]
+    cfg = MultiTaskLossConfig(focal_alpha=alpha, focal_gamma=gamma)
+    got = multi_task_loss(assignment, *heads[0], targets, cfg)
+    want = _oracle_loss(assignment, heads, targets, cfg)
+    assert [_bits(v) for v in (got.reg_loss, got.cls_loss, got.total)] == [_bits(v) for v in want]
+
+
+def _scene_of_anchors(num_anchors, ignored, seed=3):
+    """An assignment over ``num_anchors`` anchors, 1% positive and a share
+    ``ignored`` of the rest ignored, with its targets and two heads of 15
+    classes."""
+    rng = np.random.default_rng(seed)
+    u = rng.random(num_anchors)
+    gt_index = np.where(u < 0.01, rng.integers(0, 50, num_anchors), NEGATIVE)
+    gt_index[(u >= 0.01) & (rng.random(num_anchors) < ignored)] = IGNORE
+    assignment = AssignmentResult(gt_index=gt_index, thresholds=np.full(50, 0.5), positive_counts=np.zeros(50, dtype=int))
+    targets = LossTargets(deltas=rng.normal(size=(num_anchors, 5)), class_ids=rng.integers(0, 15, num_anchors))
+    (deltas, cls), (refined_deltas, refined_cls) = (
+        (rng.normal(size=(num_anchors, 5)), rng.uniform(0.0, 1.0, (num_anchors, 15))) for _ in range(2)
+    )
+    return assignment, deltas, cls, targets, {"refined_deltas": refined_deltas, "refined_cls": refined_cls}
+
+
+@pytest.mark.parametrize("ignored", [0.0, 0.1])
+def test_loss_working_memory_does_not_grow_with_the_anchors(ignored):
+    assignment, deltas, cls, targets, refined = _scene_of_anchors(100_000, ignored)
+    tracemalloc.start()
+    try:
+        multi_task_loss(assignment, deltas, cls, targets, **refined)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6  # the (anchors, classes) loss array alone is 12 MB
+
+
+def test_loss_leaves_no_garbage_cycles():
+    assignment, deltas, cls, targets, refined = _scene_of_anchors(3 * _BLOCK_ROWS, 0.1)  # several runs of the pairwise sum
+    gc.collect()
+    gc.disable()
+    try:
+        multi_task_loss(assignment, deltas, cls, targets, **refined)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 SHAPES = st.sampled_from([(), (1,), (7,), (300,), (3, 4), (40, 15)])
