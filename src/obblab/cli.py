@@ -94,6 +94,12 @@ MAX_ORACLE_SAMPLES = 1_000_000_000  # iou --oracle; costs only time, about 40 s 
 # beta, and from this bound up the squares stay in the normal float range.
 MIN_CHECK_BETA = 1.0 / MAX_EXTENT
 
+# CSV tables are written this many rows at a time, and each column's cache of
+# float texts is emptied once it holds more than _CSV_CACHE_LIMIT of them, so
+# the writer's memory does not grow with the table.
+_CSV_BLOCK_ROWS = 1024
+_CSV_CACHE_LIMIT = 4096
+
 
 class ConfigError(ValueError):
     """Invalid configuration file or flag combination."""
@@ -121,6 +127,12 @@ class StatsConfig:
             raise ValueError("scenes must be >= 1")
 
 
+def _gamma_tag(gamma: float) -> str:
+    """The ``<g>`` of ``thresholds_gamma<g>.csv``, and the gamma's key in
+    ``thresholds.json``."""
+    return f"{gamma:g}"
+
+
 @dataclass(frozen=True)
 class ThresholdsConfig:
     """The (aspect, angle) grid and inputs of the ``thresholds`` surfaces.
@@ -143,6 +155,12 @@ class ThresholdsConfig:
         iou_statistics(self.candidate_ious)  # rejects an empty list and values outside [0, 1]
         if self.gammas is not None and not (self.gammas and all(g > 0.0 for g in self.gammas)):
             raise ValueError("gammas must be a non-empty list of positive values")
+        seen: dict[str, float] = {}
+        for gamma in self.gammas or ():
+            tag = _gamma_tag(gamma)
+            if tag in seen:
+                raise ValueError(f"gammas {seen[tag]!r} and {gamma!r} share the file name thresholds_gamma{tag}.csv")
+            seen[tag] = gamma
 
 
 @dataclass(frozen=True)
@@ -207,18 +225,18 @@ class BinnedStats:
     mean_positives: np.ndarray
     zero_positive_gts: np.ndarray
 
-    def rows(self):
-        for i in range(len(self.gt_count)):
-            lo, hi = self.edges[i], self.edges[i + 1]
-            yield (
-                i,
-                float(lo),
-                float(hi),
-                float(0.5 * lo + 0.5 * hi),  # exact halves; lo + hi may overflow
-                int(self.gt_count[i]),
-                float(self.mean_positives[i]),
-                int(self.zero_positive_gts[i]),
-            )
+    def columns(self) -> list:
+        """The columns of ``_STATS_HEADER``."""
+        lo, hi = self.edges[:-1], self.edges[1:]
+        return [
+            range(len(self.gt_count)),
+            lo,
+            hi,
+            0.5 * lo + 0.5 * hi,  # exact halves; lo + hi may overflow
+            self.gt_count,
+            self.mean_positives,
+            self.zero_positive_gts,
+        ]
 
 
 _STATS_HEADER = (
@@ -269,12 +287,43 @@ def _out_dir(args: argparse.Namespace) -> Path:
     return out
 
 
-def _write_csv(path: Path, schema: str, header, rows) -> None:
+class _FloatTexts(dict):
+    """One column's ``str`` of each float it has met. Only nonzero, non-NaN
+    floats are kept: equal ones have the same bits, so the same text, while
+    0.0 equals -0.0 and a NaN equals nothing."""
+
+    def __missing__(self, value: float) -> str:
+        text = str(value)
+        if value and value == value:
+            self[value] = text
+        return text
+
+
+def _write_csv(path: Path, schema: str, header, columns) -> None:
+    """Write equal-length ``columns`` (sequences or 1-D arrays) as the rows
+    ``",".join(str(v) for v in row)`` under the schema line and header.
+    Rows go out ``_CSV_BLOCK_ROWS`` at a time, and a block of Python floats
+    is formatted through its column's ``_FloatTexts``, which is emptied past
+    ``_CSV_CACHE_LIMIT`` entries; other blocks go through ``str``."""
+    caches = [_FloatTexts() for _ in columns]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"# schema: {schema}\n")
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(str(v) for v in row) + "\n")
+        for start in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
+            texts = []
+            for column, cache in zip(columns, caches):
+                block = column[start : start + _CSV_BLOCK_ROWS]
+                if isinstance(block, np.ndarray):
+                    floats, block = block.dtype == np.float64, block.tolist()
+                else:
+                    floats = set(map(type, block)) == {float}  # 1 == 1.0 == True, but their texts differ
+                if floats:
+                    texts.append(list(map(cache.__getitem__, block)))
+                    if len(cache) > _CSV_CACHE_LIMIT:
+                        cache.clear()
+                else:
+                    texts.append(list(map(str, block)))
+            fh.write("\n".join(map(",".join, zip(*texts))) + "\n")
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -354,8 +403,8 @@ def _stats_json_block(stats: BinnedStats) -> dict:
 def cmd_stats(args: argparse.Namespace, cfg: RunConfig) -> int:
     out = _out_dir(args)
     aspect_stats, angle_stats, totals = run_assignment_stats(cfg, args.strategy, args.seed)
-    _write_csv(out / "stats_aspect.csv", "obblab.stats.v1", _STATS_HEADER, aspect_stats.rows())
-    _write_csv(out / "stats_angle.csv", "obblab.stats.v1", _STATS_HEADER, angle_stats.rows())
+    _write_csv(out / "stats_aspect.csv", "obblab.stats.v1", _STATS_HEADER, aspect_stats.columns())
+    _write_csv(out / "stats_angle.csv", "obblab.stats.v1", _STATS_HEADER, angle_stats.columns())
     _write_json(
         out / "stats.json",
         {
@@ -416,17 +465,15 @@ def cmd_thresholds(args: argparse.Namespace, cfg: RunConfig) -> int:
     for gamma in cfg.gammas:
         aspects, angles, exponents, *surfaces = threshold_surface(cfg, gamma)
         cells = np.meshgrid(aspects, angles, indexing="ij")
-        rows = zip(*(column.ravel().tolist() for column in (*cells, *surfaces)))
-        name = f"thresholds_gamma{gamma:g}.csv"
         _write_csv(
-            out / name,
+            out / f"thresholds_gamma{_gamma_tag(gamma)}.csv",
             "obblab.thresholds.v1",
             ("aspect", "angle", "shape_weight", "pre_clamp_threshold", "clamped_threshold"),
-            rows,
+            [column.ravel() for column in (*cells, *surfaces)],
         )
         problems = verify_threshold_surface(aspects, angles, exponents)
         if problems:
-            all_problems[f"{gamma:g}"] = problems
+            all_problems[_gamma_tag(gamma)] = problems
     _write_json(
         out / "thresholds.json",
         {
@@ -534,7 +581,7 @@ def cmd_loss_check(args: argparse.Namespace, cfg: RunConfig) -> int:
         out / "beta_trajectory.csv",
         "obblab.beta.v1",
         ("iteration", "scheduled_similarity", "raw_target", "beta"),
-        rows,
+        list(zip(*rows)),
     )
     _write_json(
         out / "gradient_check.json",

@@ -232,12 +232,16 @@ def update_beta(
     outliers (``statistic="kth-smallest"`` with 1-based ``k`` selects the
     k-th smallest mismatch instead). The new knee is the momentum-smoothed
     target, clamped to the state's range. An empty batch leaves the state
-    unchanged and logs a warning.
+    unchanged and logs a warning; a NaN or infinite similarity raises
+    ``ValueError``, as one would turn the median into NaN and the knee into
+    its lower clamp.
     """
     sims = np.asarray(list(similarities), dtype=float)
     if sims.size == 0:
         logger.warning("update_beta called with no similarities; state unchanged")
         return state
+    if not np.all(np.isfinite(sims)):
+        raise ValueError("similarities must be finite")
     mismatch = 1.0 - sims
     if statistic == "median":
         target = float(np.median(mismatch))

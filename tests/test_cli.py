@@ -1,14 +1,17 @@
 import hashlib
 import json
 import math
+import os
 import tempfile
+import tracemalloc
 import warnings
 from dataclasses import fields, replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from obblab.assignment import ANGLE_DEPENDENT, CONSTANT_ONE, MasConfig, iou_statistics, saturating_exp, shape_exponent
 
@@ -109,6 +112,10 @@ class TestStatsCommand:
             pytest.param({"mas": {"use_center_prior": "yes"}}, [], id="string-for-bool"),
             pytest.param({"thresholds": {"gammas": [0]}}, [], id="zero-gamma"),
             pytest.param({"thresholds": {"gammas": []}}, [], id="empty-gammas"),
+            # gammas that format alike under :g would write one file
+            pytest.param({"thresholds": {"gammas": [5.0, 5.0000001]}}, [], id="gammas-sharing-a-file-name"),
+            pytest.param({"thresholds": {"gammas": [5, 5.0]}}, [], id="int-and-float-gamma"),
+            pytest.param({"thresholds": {"gammas": [2, 3, 2]}}, [], id="repeated-gamma"),
             pytest.param({"thresholds": {"aspect_range": [5, 2]}}, [], id="reversed-aspect-range"),
             pytest.param({"thresholds": {"aspect_range": [math.nan, 12]}}, [], id="nan-aspect-range"),
             # below 2**-508 the squares of the smooth-L1 check's draws leave the normal range
@@ -155,6 +162,10 @@ class TestStatsCommand:
                 "thresholds.candidate_ious must be finite, got nan", id="nan-list-item",
             ),
             pytest.param(["thresholds", "--gamma", "inf"], {}, "mas.gamma must be finite, got inf", id="inf-flag"),
+            pytest.param(
+                ["thresholds"], {"thresholds": {"gammas": [5.0, 5.0000001]}},
+                "thresholds: gammas 5.0 and 5.0000001 share the file name thresholds_gamma5.csv", id="gamma-file-name",
+            ),
             pytest.param(
                 ["loss-check", "--tau", "0"], {},
                 "loss_check: iterations and points must lie in [1, ", id="flag-out-of-range",
@@ -1129,3 +1140,87 @@ def test_any_file_under_any_file_flag_gives_its_documented_exit(flag, data):
         assert code in (EXIT_OK, failure)
     else:
         assert code == (EXIT_OK if valid else failure)
+
+
+def reference_write_csv(path, schema, header, rows):
+    """The row writer that ``cli._write_csv`` replaced, verbatim."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(f"# schema: {schema}\n")
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(str(v) for v in row) + "\n")
+
+
+FLOATS = st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, 5e-324, -1e-310, 2.2250738585072014e-308]), st.floats())
+CELLS = st.one_of(FLOATS, st.integers(-(2**70), 2**70), st.booleans())
+# Cells whose texts differ though they are equal, equal nothing (NaN) or lie one ulp apart
+FLOAT_TWINS = [(0.0, -0.0), (math.nan, -math.nan), (1.0, 1.0 + 2**-52)]
+TWINS = [*FLOAT_TWINS, (1, 1.0, True), (0, 0.0, -0.0, False), (2**53, 2.0**53), (np.float64(-0.0), np.int64(1), 1.0, 0.0)]
+
+
+@st.composite
+def csv_columns(draw, rows):
+    """One column of ``rows`` cells: a range; runs over a small palette of
+    cells as a list, a tuple, a list of floats only, a float64 array or an
+    object array; or an array cycling through more distinct floats
+    (subnormals to 1e300) than a small cache holds."""
+    kind = draw(st.sampled_from(["range", "list", "tuple", "floats", "array", "objects", "cycle"]))
+    if kind == "range":
+        return range(rows)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "cycle":
+        period = draw(st.integers(1, 64))
+        base = rng.standard_normal(period) * 10.0 ** rng.integers(-320, 300, period).astype(float)
+        return base[np.arange(rows) % period]
+    floats = kind in ("floats", "array")
+    palette = [*draw(st.sampled_from(FLOAT_TWINS if floats else TWINS)), *draw(st.lists(FLOATS if floats else CELLS, max_size=6))]
+    run = draw(st.one_of(st.integers(1, 40), st.integers(1, 4 * 1024)))  # rows per run of one palette cell
+    values = [palette[i] for i in rng.integers(0, len(palette), rows)[np.arange(rows) // run * run]]
+    if kind in ("array", "objects"):
+        return np.array(values, dtype=float if kind == "array" else object)
+    return tuple(values) if kind == "tuple" else values
+
+
+@st.composite
+def csv_tables(draw):
+    """A writer's (block rows, cache limit), the real ones or small ones,
+    and 1 to 5 columns of 0 to a little over 3 blocks of rows."""
+    limits = draw(st.sampled_from([(cli._CSV_BLOCK_ROWS, cli._CSV_CACHE_LIMIT), (3, 5), (1, 1)]))
+    block = limits[0]
+    rows = draw(st.one_of(st.sampled_from([0, 1, block, block + 1]), st.integers(0, 3 * block + 2)))
+    return limits, [draw(csv_columns(rows)) for _ in range(draw(st.integers(1, 5)))]
+
+
+TRAPS = [1.0, 1, True, 0.0, -0.0, False, math.nan, 2.0**53, 2**53]
+TRAP_FLOATS = [0.0, -0.0, 1.0, 1.0 + 2**-52, math.nan, -math.nan, -0.0, 0.0, 1.0]
+
+
+@given(table=csv_tables())
+@example(table=((cli._CSV_BLOCK_ROWS, cli._CSV_CACHE_LIMIT), [TRAPS, tuple(TRAPS), np.array(TRAPS, dtype=object), TRAP_FLOATS]))
+@example(table=((1, 1), [TRAPS, np.array(TRAPS, dtype=object), TRAP_FLOATS, np.array(TRAP_FLOATS), range(9)]))
+@settings(max_examples=150, deadline=None)
+def test_csv_writer_writes_the_bytes_of_the_row_writer(table):
+    (block, limit), columns = table
+    header = [f"c{i}" for i in range(len(columns))]
+    with tempfile.TemporaryDirectory() as tmp:
+        got, want = Path(tmp) / "got.csv", Path(tmp) / "want.csv"
+        with mock.patch.object(cli, "_CSV_BLOCK_ROWS", block), mock.patch.object(cli, "_CSV_CACHE_LIMIT", limit):
+            cli._write_csv(got, "s.v1", header, columns)
+        reference_write_csv(want, "s.v1", header, zip(*[c.tolist() if isinstance(c, np.ndarray) else c for c in columns]))
+        assert got.read_bytes() == want.read_bytes()
+
+
+def test_csv_writer_memory_does_not_grow_with_the_rows():
+    peaks = {}
+    for rows in (10**5, 10**6):
+        rng = np.random.default_rng(rows)
+        # runs of 16 equal floats: the cache fills and is emptied within 10^5 rows
+        column = np.repeat(rng.standard_normal(rows // 16), 16)
+        tracemalloc.start()
+        try:
+            cli._write_csv(os.devnull, "s.v1", ("a",), [column])
+            peaks[rows] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[10**6] < 1.1 * peaks[10**5]
+    assert max(peaks.values()) < 1e6  # 0.61 MB; the formatted column alone is 70 MB at 10^6 rows

@@ -237,6 +237,13 @@ class TestUpdateBeta:
         b = update_beta(BetaState(), sims[::-1])
         assert a.history == b.history
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("statistic, k", [("median", None), ("kth-smallest", 1)])
+    def test_non_finite_similarity_raises(self, bad, statistic, k):
+        # a NaN median used to drop the knee to its lower clamp
+        with pytest.raises(ValueError, match="finite"):
+            update_beta(BetaState(), [bad, 0.5, 0.9], statistic, k)
+
     def test_kth_smallest_mode(self):
         state = update_beta(BetaState(momentum=0.0), [0.6, 0.8, 0.9], statistic="kth-smallest", k=1)
         assert state.history == pytest.approx(0.1)  # smallest mismatch
