@@ -200,15 +200,20 @@ def generate_anchors(
     return AnchorGrid(levels=levels, centers=centers, sizes=sizes, level_slices=level_slices)
 
 
-def angle_weight(theta: float) -> float:
-    """Signed angle weight: -1/2 - sin^2(theta) left of pi/4, +1/2 +
-    sin^2(theta - pi/2) at or right of it. Magnitude 0.5 at the equilibrium
-    angles {0, pi/2} and 1 at the maximal-mismatch angles {+-pi/4, 3pi/4}."""
-    if not -QUARTER_PI <= theta < 3.0 * QUARTER_PI:
+def angle_weight(theta):
+    """Signed angle weight of a float, or of each angle of an array: -1/2 -
+    sin^2(theta) left of pi/4, +1/2 + sin^2(theta - pi/2) at or right of it.
+    Magnitude 0.5 at the equilibrium angles {0, pi/2} and 1 at the
+    maximal-mismatch angles {+-pi/4, 3pi/4}. The square rounds as ``** 2``
+    of a Python float, which ``x * x`` and ``np.power`` do not."""
+    thetas = np.asarray(theta, dtype=float)
+    if not np.all((-QUARTER_PI <= thetas) & (thetas < 3.0 * QUARTER_PI)):
         raise ValueError(f"theta={theta} outside [-pi/4, 3pi/4); normalize first")
-    if theta < QUARTER_PI:
-        return -0.5 - math.sin(-theta) ** 2
-    return 0.5 + math.sin(theta - HALF_PI) ** 2
+    right = thetas >= QUARTER_PI
+    s = np.sin(np.where(right, thetas - HALF_PI, -thetas))
+    square = np.float_power(s, np.full(s.shape, 2.0))
+    lam = np.where(right, 0.5 + square, -0.5 - square)
+    return float(lam) if lam.ndim == 0 else lam
 
 
 def shape_exponent(
@@ -218,22 +223,10 @@ def shape_exponent(
     lambda_mode: str = ANGLE_DEPENDENT,
     raw_lambda: bool = False,
 ) -> float:
-    """The exponent (1.5 - aspect * |lambda|) / gamma of :func:`shape_weight`.
-    It orders (aspect, angle) pairs as the weight does, and stays exact in
-    that order where exp over- or underflows."""
-    if aspect < 1.0:
-        raise ValueError("aspect must be >= 1 (long-edge convention)")
-    if gamma <= 0.0:
-        raise ValueError("gamma must be positive")
-    if lambda_mode == CONSTANT_ONE:
-        lam = 1.0
-    elif lambda_mode == ANGLE_DEPENDENT:
-        lam = angle_weight(theta)
-        if not raw_lambda:
-            lam = abs(lam)
-    else:
-        raise ValueError(f"unknown lambda_mode {lambda_mode!r}")
-    return (_REFERENCE_ASPECT - aspect * lam) / gamma
+    """The exponent (1.5 - aspect * |lambda|) / gamma of :func:`shape_weight`:
+    the one-pair case of :func:`adaptive_thresholds`."""
+    cfg = MasConfig(gamma=gamma, lambda_mode=lambda_mode, raw_lambda=raw_lambda)
+    return float(adaptive_thresholds([aspect], [theta], 0.0, cfg)[0][0])
 
 
 def shape_weight(
@@ -243,16 +236,10 @@ def shape_weight(
     lambda_mode: str = ANGLE_DEPENDENT,
     raw_lambda: bool = False,
 ) -> float:
-    """Threshold modulation factor exp((1.5 - aspect * |lambda|) / gamma).
-
-    Algebraically this is the compensated form Co * exp(-(aspect/gamma) *
-    |lambda|) with Co = exp(1.5/gamma); the single exponent makes the
-    compensation cancel exactly (f == 1.0) at aspect 1.5 with |lambda| = 1.
-    Strictly decreasing in aspect, maximal at the equilibrium angles. A
-    small gamma can push the exponent past the float range: the weight then
-    saturates to inf (and the clamped threshold to its upper bound).
-    """
-    return saturating_exp(shape_exponent(aspect, theta, gamma, lambda_mode, raw_lambda))
+    """Threshold modulation factor exp((1.5 - aspect * |lambda|) / gamma):
+    the one-pair case of :func:`adaptive_thresholds`."""
+    cfg = MasConfig(gamma=gamma, lambda_mode=lambda_mode, raw_lambda=raw_lambda)
+    return float(adaptive_thresholds([aspect], [theta], 0.0, cfg)[1][0])
 
 
 def saturating_exp(x: float) -> float:
@@ -357,7 +344,7 @@ def iou_statistics(candidate_ious) -> tuple[float, float, float]:
     ious = np.asarray(candidate_ious, dtype=float)
     if ious.size == 0:
         raise ValueError("no candidate IoUs")
-    if np.any(ious < 0.0) or np.any(ious > 1.0):
+    if not np.all((ious >= 0.0) & (ious <= 1.0)):
         raise ValueError("IoU values must lie in [0, 1]")
     mean = ious.mean(axis=-1)
     std = np.sqrt(np.mean((ious - mean[..., None]) ** 2, axis=-1))
@@ -373,16 +360,29 @@ def mas_threshold(gt: GroundTruth, candidate_ious, cfg: MasConfig) -> float:
 
 
 def adaptive_thresholds(aspects, angles, init, cfg: MasConfig):
-    """Per (aspect, angle) pair: the shape exponent (0 under ``unit_weight``,
-    so f = 1), the shape weight f, and ``f * init`` before and after
-    cfg.threshold_clamp, for one initial threshold or one per pair. A zero
-    ``init`` gives 0, not inf * 0 = nan; a product past the float range inf."""
-    shape = (cfg.gamma, cfg.lambda_mode, cfg.raw_lambda)
-    exponents = [0.0 if cfg.unit_weight else shape_exponent(a, t, *shape) for a, t in zip(aspects, angles)]
-    weights = np.array([saturating_exp(e) for e in exponents])
+    """The threshold rule of MAS, per (aspect, angle) pair of two arrays:
+    the shape exponent (1.5 - aspect * |lambda|) / gamma (0 under
+    ``unit_weight``, so f = 1), the shape weight f = exp(exponent), and
+    ``f * init`` before and after cfg.threshold_clamp, for one initial
+    threshold or one per pair. The one exponent makes f == 1.0 exactly at
+    aspect 1.5 with |lambda| = 1. Each f is one ``math.exp``, which
+    ``np.exp`` does not round alike; past the float range f saturates to
+    inf, while the exponents keep the order of the pairs. A zero ``init``
+    gives 0, not inf * 0 = nan; a product past the float range inf."""
+    aspects = np.asarray(aspects, dtype=float)
     with np.errstate(over="ignore"):
+        if cfg.unit_weight:
+            exponents = np.zeros(aspects.shape)
+        elif not np.all(aspects >= 1.0):
+            raise ValueError("aspect must be >= 1 (long-edge convention)")
+        else:
+            lam = 1.0 if cfg.lambda_mode == CONSTANT_ONE else angle_weight(angles)
+            if not cfg.raw_lambda:
+                lam = abs(lam)
+            exponents = (_REFERENCE_ASPECT - aspects * lam) / cfg.gamma
+        weights = np.fromiter(map(saturating_exp, exponents.ravel().tolist()), float).reshape(exponents.shape)
         raw = np.multiply(weights, init, out=np.zeros_like(weights), where=np.not_equal(init, 0.0))
-    return np.array(exponents), weights, raw, np.clip(raw, *cfg.threshold_clamp)
+    return exponents, weights, raw, np.clip(raw, *cfg.threshold_clamp)
 
 
 @dataclass(frozen=True, eq=False)

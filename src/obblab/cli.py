@@ -425,14 +425,13 @@ def _equilibrium_distance(angles: np.ndarray) -> np.ndarray:
 
 
 def threshold_surface(cfg: RunConfig, gamma: float):
-    """The (aspect, angle) -> (shape weight, threshold) table for one gamma,
-    with the weights' exponents for the self-check."""
+    """The (aspect, angle) -> (shape weight, threshold) table for one gamma:
+    each cell's aspect, angle, exponent (for the self-check) and surfaces."""
     aspects = np.linspace(*cfg.thresholds.aspect_range, cfg.thresholds.aspect_count)
     angles = np.linspace(-QUARTER_PI, 3.0 * QUARTER_PI, cfg.thresholds.angle_count, endpoint=False)
     _, _, init = iou_statistics(cfg.thresholds.candidate_ious)
-    cells = [cell.ravel().tolist() for cell in np.meshgrid(aspects, angles, indexing="ij")]
-    surfaces = adaptive_thresholds(*cells, init, replace(cfg.mas, gamma=gamma))
-    return (aspects, angles, *(surface.reshape(len(aspects), len(angles)) for surface in surfaces))
+    cells = np.meshgrid(aspects, angles, indexing="ij")
+    return (*cells, *adaptive_thresholds(*cells, init, replace(cfg.mas, gamma=gamma)))
 
 
 def verify_threshold_surface(aspects: np.ndarray, angles: np.ndarray, exponents: np.ndarray) -> list[str]:
@@ -464,14 +463,13 @@ def cmd_thresholds(args: argparse.Namespace, cfg: RunConfig) -> int:
     all_problems = {}
     for gamma in cfg.gammas:
         aspects, angles, exponents, *surfaces = threshold_surface(cfg, gamma)
-        cells = np.meshgrid(aspects, angles, indexing="ij")
         _write_csv(
             out / f"thresholds_gamma{_gamma_tag(gamma)}.csv",
             "obblab.thresholds.v1",
             ("aspect", "angle", "shape_weight", "pre_clamp_threshold", "clamped_threshold"),
-            [column.ravel() for column in (*cells, *surfaces)],
+            [column.ravel() for column in (aspects, angles, *surfaces)],
         )
-        problems = verify_threshold_surface(aspects, angles, exponents)
+        problems = verify_threshold_surface(aspects[:, 0], angles[0], exponents)
         if problems:
             all_problems[_gamma_tag(gamma)] = problems
     _write_json(

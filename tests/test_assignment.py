@@ -238,6 +238,18 @@ class TestAngleWeight:
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             angle_weight(math.pi)
+        for thetas in ([0.0, math.pi], [math.nan], np.array([[0.1, -math.pi / 2]])):
+            with pytest.raises(ValueError):
+                angle_weight(thetas)
+
+    def test_array_form_matches_the_scalar_formula(self):
+        # ``x * x`` differs from ``x ** 2`` on about 1 in 1,000 squares
+        edges = [-QP, -0.0, 0.0, QP, math.nextafter(QP, 0.0), math.pi / 2, math.nextafter(3 * QP, 0.0)]
+        thetas = np.concatenate([edges, np.random.default_rng(3).uniform(-QP, 3 * QP, 100_000)])
+        got = angle_weight(thetas.reshape(-1, 1))
+        want = np.array([reference_angle_weight(theta) for theta in thetas.tolist()]).reshape(-1, 1)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert type(angle_weight(0.3)) is float and angle_weight(0.3) == reference_angle_weight(0.3)
 
 
 class TestShapeWeight:
@@ -285,6 +297,16 @@ class TestShapeWeight:
         for args in ((1.5, QP, 5.0), (4.0, 0.3, 2.0), (7.0, 2.0, 0.5)):
             assert shape_weight(*args) == math.exp(shape_exponent(*args))
 
+    @pytest.mark.parametrize("gamma", [0.0, -1.0, math.nan])
+    def test_gamma_that_mas_config_rejects_is_rejected(self, gamma):
+        for scalar in (shape_exponent, shape_weight):
+            with pytest.raises(ValueError, match="gamma must be positive"):
+                scalar(2.0, 0.0, gamma)
+
+    def test_unknown_lambda_mode_rejected(self):
+        with pytest.raises(ValueError, match="unknown lambda_mode"):
+            shape_weight(2.0, 0.0, 5.0, lambda_mode="constant-two")
+
     def test_raw_lambda_inverts_aspect_trend_near_equilibrium(self):
         # signed weight is negative left of pi/4, so f grows with aspect
         low = shape_weight(2.0, 0.0, 5.0, raw_lambda=True)
@@ -320,6 +342,11 @@ class TestIouStatistics:
             iou_statistics([0.5, 1.2])
         with pytest.raises(ValueError):
             iou_statistics([[0.5, 0.5], [0.5, -0.1]])
+
+    def test_nan_rejected(self):
+        for ious in ([math.nan, 0.5], [[0.5, 0.5], [math.nan, 0.5]]):
+            with pytest.raises(ValueError, match=r"IoU values must lie in \[0, 1\]"):
+                iou_statistics(ious)
 
     @given(
         rows=st.integers(1, 30),
@@ -365,6 +392,11 @@ class TestMasThreshold:
         gt = GroundTruth(normalize_obb(0, 0, 120, 10, QP))
         thr = mas_threshold(gt, [0.0, 0.0, 0.0], MasConfig())
         assert thr == 0.05
+
+    def test_nan_iou_rejected(self):
+        gt = GroundTruth(normalize_obb(0, 0, 50, 10, 0.3))
+        with pytest.raises(ValueError):
+            mas_threshold(gt, [math.nan, 0.5], MasConfig())
 
     def test_saturated_weight_clamps_without_nan(self):
         gt = GroundTruth(normalize_obb(0, 0, 10, 10, 0.0))  # aspect 1: f = inf at gamma 0.001
@@ -807,8 +839,27 @@ def reference_iou_statistics(candidate_ious) -> tuple[float, float, float]:
 
 def reference_mas_threshold(gt: GroundTruth, candidate_ious, cfg: MasConfig) -> float:
     _, _, init = reference_iou_statistics(candidate_ious)
-    f = 1.0 if cfg.unit_weight else shape_weight(gt.aspect, gt.angle, cfg.gamma, cfg.lambda_mode, cfg.raw_lambda)
+    f = 1.0 if cfg.unit_weight else reference_shape_weight(gt.aspect, gt.angle, cfg)
     return float(reference_clamped_threshold(f, init, cfg.threshold_clamp)[1])
+
+
+def reference_shape_weight(aspect: float, theta: float, cfg: MasConfig) -> float:
+    """Word for word the scalar formula that stood before the threshold rule
+    was written on arrays."""
+    if cfg.lambda_mode == CONSTANT_ONE:
+        lam = 1.0
+    else:
+        lam = reference_angle_weight(theta) if cfg.raw_lambda else abs(reference_angle_weight(theta))
+    try:
+        return math.exp((1.5 - aspect * lam) / cfg.gamma)
+    except OverflowError:
+        return math.inf
+
+
+def reference_angle_weight(theta: float) -> float:
+    if theta < math.pi / 4.0:
+        return -0.5 - math.sin(-theta) ** 2
+    return 0.5 + math.sin(theta - math.pi / 2.0) ** 2
 
 
 def reference_clamped_threshold(f, init: float, clamp: tuple[float, float]):

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from obblab.assignment import ANGLE_DEPENDENT, CONSTANT_ONE, MasConfig, iou_statistics, saturating_exp, shape_exponent
+from obblab.assignment import ANGLE_DEPENDENT, CONSTANT_ONE, MasConfig, iou_statistics
 
 from obblab import assignment, cli
 from obblab.cli import (
@@ -478,52 +478,107 @@ class TestThresholdsCommand:
         assert json.loads((out / "thresholds.json").read_text())["gammas"] == gammas
 
 
-def reference_threshold_surface(cfg: RunConfig, gamma: float):
-    """The surface as one Python call per cell, as it stood before one
-    vectorised threshold rule served the CLI: the oracle of
-    ``threshold_surface``."""
-    aspects = np.linspace(*cfg.thresholds.aspect_range, cfg.thresholds.aspect_count)
-    angles = np.linspace(-math.pi / 4, 3.0 * math.pi / 4, cfg.thresholds.angle_count, endpoint=False)
-    _, _, init = iou_statistics(cfg.thresholds.candidate_ious)
-    exponents = np.empty((len(aspects), len(angles)))
-    weights = np.empty_like(exponents)
-    for i, aspect in enumerate(aspects.tolist()):
-        for j, angle in enumerate(angles.tolist()):
-            exponents[i, j] = e = shape_exponent(aspect, angle, gamma, cfg.mas.lambda_mode, cfg.mas.raw_lambda)
-            weights[i, j] = saturating_exp(e)
+def reference_shape_terms(aspect: float, theta: float, mas: MasConfig) -> tuple[float, float]:
+    """The shape exponent and weight of one (aspect, angle) pair, word for
+    word the scalar formula that stood before the threshold rule was
+    written on arrays: the oracle of ``adaptive_thresholds``."""
+    if mas.unit_weight:
+        return 0.0, 1.0
+    if mas.lambda_mode == CONSTANT_ONE:
+        lam = 1.0
+    else:
+        if theta < math.pi / 4.0:
+            lam = -0.5 - math.sin(-theta) ** 2
+        else:
+            lam = 0.5 + math.sin(theta - math.pi / 2.0) ** 2
+        if not mas.raw_lambda:
+            lam = abs(lam)
+    exponent = (1.5 - aspect * lam) / mas.gamma
+    try:
+        return exponent, math.exp(exponent)
+    except OverflowError:
+        return exponent, math.inf
+
+
+def reference_thresholds(aspects: np.ndarray, angles: np.ndarray, init: float, mas: MasConfig):
+    """Exponents, weights, pre-clamp and clamped thresholds of each
+    (aspect, angle) cell, one Python call per cell."""
+    exponents, weights = np.empty(aspects.shape), np.empty(aspects.shape)
+    for cell, aspect in np.ndenumerate(aspects):
+        exponents[cell], weights[cell] = reference_shape_terms(float(aspect), float(angles[cell]), mas)
     with np.errstate(over="ignore"):
         pre_clamp = np.multiply(weights, init) if init else np.zeros_like(weights)
-    return aspects, angles, exponents, weights, pre_clamp, np.clip(pre_clamp, *cfg.mas.threshold_clamp)
+    return exponents, weights, pre_clamp, np.clip(pre_clamp, *mas.threshold_clamp)
+
+
+def reference_threshold_surface(cfg: RunConfig, gamma: float):
+    """The cells of the surface and their thresholds, one Python call per
+    cell: the oracle of ``threshold_surface``."""
+    aspects = np.linspace(*cfg.thresholds.aspect_range, cfg.thresholds.aspect_count)
+    angles = np.linspace(-math.pi / 4, 3.0 * math.pi / 4, cfg.thresholds.angle_count, endpoint=False)
+    cells = np.meshgrid(aspects, angles, indexing="ij")
+    _, _, init = iou_statistics(cfg.thresholds.candidate_ious)
+    return (*cells, *reference_thresholds(*cells, init, replace(cfg.mas, gamma=gamma)))
+
+
+LAST_ANGLE = math.nextafter(3.0 * math.pi / 4, 0.0)
 
 
 @given(
-    gamma=st.sampled_from([0.001, 0.01, 5.0]),
+    gamma=st.one_of(
+        st.sampled_from([5e-324, 1e-300, 0.001, 0.01, 5.0, 37.5, 1e300, math.inf]), st.floats(1e-300, 1e300)
+    ),
     lambda_mode=st.sampled_from([ANGLE_DEPENDENT, CONSTANT_ONE]),
     raw_lambda=st.booleans(),
+    unit_weight=st.booleans(),
     clamp=st.sampled_from([(0.05, 0.95), (0.0, 1.0)]),
     candidate_ious=st.one_of(
         st.lists(st.just(0.0), min_size=1, max_size=4),
         st.lists(st.floats(0.0, 1.0), min_size=1, max_size=9),
         st.just([0.0, 1.0, 1.0, 1.0]),
     ),
-    aspect_range=st.sampled_from([(1.0, 12.0), (1.0, 2.0), (1.5, 1e6)]),
+    aspect_range=st.sampled_from([(1.0, 12.0), (1.0, 2.0), (1.5, 1e6), (1.0, 2.0**508)]),
     counts=st.tuples(st.integers(2, 30), st.integers(2, 40)),
+    cells=st.lists(
+        st.tuples(
+            st.one_of(st.sampled_from([1.0, 1.5, 2.0**508]), st.floats(1.0, 2.0**508)),
+            st.one_of(
+                st.sampled_from([-math.pi / 4, 0.0, math.pi / 4, math.pi / 2, LAST_ANGLE]),
+                st.floats(-math.pi / 4, LAST_ANGLE),
+            ),
+        ),
+        min_size=1,
+        max_size=50,
+    ),
 )
-@settings(max_examples=100, deadline=None)
+@example(  # 100,000 angles: ``x * x`` differs from ``x ** 2`` on about 1 in 1,000 squares
+    gamma=5.0, lambda_mode=ANGLE_DEPENDENT, raw_lambda=False, unit_weight=False, clamp=(0.05, 0.95),
+    candidate_ious=[0.3, 0.5, 0.7], aspect_range=(1.0, 12.0), counts=(2, 100_000), cells=[(1.5, math.pi / 4)],
+)
+@settings(max_examples=200, deadline=None)
 def test_threshold_surface_matches_the_per_cell_reference(
-    gamma, lambda_mode, raw_lambda, clamp, candidate_ious, aspect_range, counts
+    gamma, lambda_mode, raw_lambda, unit_weight, clamp, candidate_ious, aspect_range, counts, cells
 ):
+    mas = MasConfig(
+        gamma=gamma, lambda_mode=lambda_mode, raw_lambda=raw_lambda, unit_weight=unit_weight, threshold_clamp=clamp
+    )
     cfg = RunConfig(
-        mas=MasConfig(gamma=gamma, lambda_mode=lambda_mode, raw_lambda=raw_lambda, threshold_clamp=clamp),
+        mas=mas,
         thresholds=ThresholdsConfig(
             aspect_count=counts[0], aspect_range=aspect_range, angle_count=counts[1],
             candidate_ious=tuple(candidate_ious),
         ),
     )
-    got, want = threshold_surface(cfg, gamma), reference_threshold_surface(cfg, gamma)
-    # aspects, angles, then exponents, weights, pre-clamp and clamped thresholds
-    for name, a, b in zip(("aspects", "angles", "exponents", "weights", "pre_clamp", "clamped"), got, want):
-        assert a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64)), name
+    # the grid of the surface, then cells drawn anywhere in the domain
+    _, _, init = iou_statistics(candidate_ious)
+    aspects, angles = (np.array(column) for column in zip(*cells))
+    for got, want in (
+        (threshold_surface(cfg, gamma), reference_threshold_surface(cfg, gamma)),
+        (assignment.adaptive_thresholds(aspects, angles, init, mas), reference_thresholds(aspects, angles, init, mas)),
+    ):
+        names = ("aspects", "angles", "exponents", "weights", "pre_clamp", "clamped")[-len(want) :]
+        for name, a, b in zip(names, got, want, strict=True):
+            assert a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64)), name
 
 
 def test_documented_config_keys_load_as_defaults(tmp_path):
