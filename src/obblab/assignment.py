@@ -501,7 +501,8 @@ def _apply_fallback(gt_index: np.ndarray, table: _CandidateTable, num_gts: int) 
         claimants = np.flatnonzero(best)
         if not claimants.size:
             return counts
-        won = np.unique(lowest[claimants])
+        won = np.sort(lowest[claimants])
+        won = won[np.diff(won, prepend=-1) != 0]  # each anchor once; np.unique would load numpy.ma
         losers = gt_index[won]
         _resolve_claims(gt_index, lowest[claimants], best[claimants], claimants)
         counts -= np.bincount(losers[losers >= 0], minlength=counts.size)

@@ -16,6 +16,7 @@ fixed seed. Exit codes: 0 success, 2 usage/config error, 3 data error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -45,7 +46,7 @@ from .losses import (
     focal_loss_grad,
     smooth_l1,
     smooth_l1_grad,
-    update_beta,
+    update_betas,
 )
 from .sampling import (
     DEFAULT_SHRINK_FACTOR,
@@ -491,6 +492,22 @@ def cmd_thresholds(args: argparse.Namespace, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+def _smooth_l1_check_points(rng: np.random.Generator, points: int, beta: float) -> np.ndarray:
+    """``points`` uniform draws on [-4 beta, 4 beta), skipping those within
+    1e-4 beta of the knee or one difference step (1e-6 beta) of zero, as a
+    loop of one scalar ``rng.uniform`` per draw finds them. The draws come
+    in arrays of as many as are still missing, so the loop would have used
+    every draw of each: the points and ``rng``'s state after them are the
+    same."""
+    step = 1e-6 * beta
+    kept = []
+    while points:
+        x = rng.uniform(-4.0 * beta, 4.0 * beta, points)
+        kept.append(x[(np.abs(np.abs(x) - beta) >= 1e-4 * beta) & (np.abs(x) >= step)])
+        points -= kept[-1].size
+    return np.concatenate(kept)
+
+
 def gradient_check(seed: int, points: int, beta: float, focal_alpha: float, focal_gamma: float):
     """Max relative error of the analytic gradients against central
     differences. The smooth-L1 step is 1e-6 beta, and its points within
@@ -498,14 +515,7 @@ def gradient_check(seed: int, points: int, beta: float, focal_alpha: float, foca
     focal step is 1e-6."""
     rng = np.random.default_rng(seed)
     step = 1e-6 * beta
-
-    xs = []
-    while len(xs) < points:
-        x = float(rng.uniform(-4.0 * beta, 4.0 * beta))
-        if abs(abs(x) - beta) < 1e-4 * beta or abs(x) < step:
-            continue
-        xs.append(x)
-    xs = np.array(xs)
+    xs = _smooth_l1_check_points(rng, points, beta)
     fd = (smooth_l1(xs + step, beta) - smooth_l1(xs - step, beta)) / (2.0 * step)
     ana = smooth_l1_grad(xs, beta)
     sl1_rel = np.abs(ana - fd) / np.maximum(np.abs(fd), 1e-12)
@@ -546,20 +556,18 @@ def run_beta_trajectory(
     ``improving`` raises the similarity as 1 - 0.5 exp(-t/tau), emulating
     predictions that match ground-truth scale better as training advances
     (an emulation, not a measurement of any trained model). Each iteration
-    feeds a deterministic five-value spread around the scheduled similarity.
+    feeds a deterministic five-value spread around the scheduled similarity;
+    all iterations go to :func:`update_betas` as one (iterations, 5) array.
     """
-    rows = []
-    for t in range(iterations):
-        if schedule == "improving":
-            s = 1.0 - 0.5 * math.exp(-t / tau)
-        elif schedule == "constant":
-            s = constant_s
-        else:
-            raise ConfigError(f"unknown schedule {schedule!r}")
-        batch = [min(1.0, max(1e-9, s * u)) for u in _BATCH_SPREAD]
-        state = update_beta(state, batch)
-        rows.append((t, s, state.history, state.beta_scale))
-    return rows, state
+    if schedule == "improving":
+        scheduled = [1.0 - 0.5 * math.exp(-t / tau) for t in range(iterations)]
+    elif schedule == "constant":
+        scheduled = [constant_s] * iterations
+    else:
+        raise ConfigError(f"unknown schedule {schedule!r}")
+    batches = np.minimum(1.0, np.maximum(1e-9, np.multiply.outer(scheduled, _BATCH_SPREAD)))
+    targets, betas, state = update_betas(state, batches)
+    return list(zip(range(iterations), scheduled, targets.tolist(), betas.tolist())), state
 
 
 def cmd_loss_check(args: argparse.Namespace, cfg: RunConfig) -> int:
@@ -831,8 +839,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# One parser per process: building the tree costs about a millisecond.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     overrides: dict = {}
     for dest, value in vars(args).items():
         if "." in dest and value is not None:
@@ -841,7 +853,8 @@ def main(argv=None) -> int:
     if "gamma" in overrides.get("mas", {}):
         overrides.setdefault("thresholds", {})["gammas"] = None  # so they follow mas.gamma
     try:
-        return args.func(args, load_run_config(args.config, overrides))
+        command = globals()[args.func.__name__]  # looked up now, so a patched cmd_* runs
+        return command(args, load_run_config(args.config, overrides))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

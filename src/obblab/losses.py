@@ -220,40 +220,76 @@ def scale_similarity(proposal: OrientedBox, gt: OrientedBox) -> float:
     return math.sqrt(min(a, b) / max(a, b))
 
 
+def _row_medians(values: np.ndarray) -> np.ndarray:
+    """``np.median`` of each row of a (rows, n >= 1) float array, bit for
+    bit: one ``np.partition`` along the rows with ``np.median``'s kth list
+    (``[h]`` or ``[h - 1, h]``, plus -1), then its mean, which adds from
+    +0.0, so a -0.0 median reads +0.0. A mean past the float range is
+    +-inf, without a warning."""
+    n = values.shape[1]
+    h = n // 2
+    part = np.partition(values, [h, -1] if n % 2 else [h - 1, h, -1], axis=1)
+    if n % 2:
+        return part[:, h] + 0.0
+    with np.errstate(over="ignore"):
+        return ((part[:, h - 1] + 0.0) + part[:, h]) / 2.0
+
+
+def update_betas(
+    state: BetaState,
+    similarities,
+    statistic: str = "median",
+    k: int | None = None,
+) -> tuple[np.ndarray, np.ndarray, BetaState]:
+    """Many adaptive steps of the smooth-L1 knee, one per row of a
+    (steps, batch >= 1) array of similarities.
+
+    Each step's raw target is the median of (1 - s) over its batch, robust
+    to outliers (``statistic="kth-smallest"`` with 1-based ``k`` selects the
+    k-th smallest mismatch instead). The new knee is the momentum-smoothed
+    target, clamped to the state's range. Returns each step's raw target,
+    each step's knee and the final state. A NaN or infinite similarity
+    raises ``ValueError``, as one would turn the median into NaN and the
+    knee into its lower clamp.
+    """
+    sims = np.asarray(similarities, dtype=float)
+    if sims.ndim != 2 or sims.shape[1] == 0:
+        raise ValueError("similarities must be a (steps, batch) array with batch >= 1")
+    if not np.all(np.isfinite(sims)):
+        raise ValueError("similarities must be finite")
+    mismatch = 1.0 - sims
+    if statistic == "median":
+        targets = _row_medians(mismatch)
+    elif statistic == "kth-smallest":
+        if k is None or not 1 <= k <= mismatch.shape[1]:
+            raise ValueError("kth-smallest needs 1 <= k <= batch size")
+        targets = np.partition(mismatch, k - 1, axis=1)[:, k - 1]
+    else:
+        raise ValueError(f"unknown statistic {statistic!r}")
+    (lo, hi), momentum, beta = state.clamp, state.momentum, state.beta_scale
+    betas = []
+    for target in targets.tolist():
+        beta = min(hi, max(lo, momentum * beta + (1.0 - momentum) * target))
+        betas.append(beta)
+    if betas:
+        state = replace(state, beta_scale=beta, history=target)
+    return targets, np.array(betas), state
+
+
 def update_beta(
     state: BetaState,
     similarities,
     statistic: str = "median",
     k: int | None = None,
 ) -> BetaState:
-    """One adaptive step of the smooth-L1 knee.
-
-    The raw target is the median of (1 - s) over the batch, robust to
-    outliers (``statistic="kth-smallest"`` with 1-based ``k`` selects the
-    k-th smallest mismatch instead). The new knee is the momentum-smoothed
-    target, clamped to the state's range. An empty batch leaves the state
-    unchanged and logs a warning; a NaN or infinite similarity raises
-    ``ValueError``, as one would turn the median into NaN and the knee into
-    its lower clamp.
-    """
+    """One adaptive step of the smooth-L1 knee over a batch of similarities:
+    the one-step case of :func:`update_betas`. An empty batch leaves the
+    state unchanged and logs a warning."""
     sims = np.asarray(list(similarities), dtype=float)
     if sims.size == 0:
         logger.warning("update_beta called with no similarities; state unchanged")
         return state
-    if not np.all(np.isfinite(sims)):
-        raise ValueError("similarities must be finite")
-    mismatch = 1.0 - sims
-    if statistic == "median":
-        target = float(np.median(mismatch))
-    elif statistic == "kth-smallest":
-        if k is None or not 1 <= k <= mismatch.size:
-            raise ValueError("kth-smallest needs 1 <= k <= batch size")
-        target = float(np.sort(mismatch)[k - 1])
-    else:
-        raise ValueError(f"unknown statistic {statistic!r}")
-    lo, hi = state.clamp
-    new_beta = state.momentum * state.beta_scale + (1.0 - state.momentum) * target
-    return replace(state, beta_scale=min(hi, max(lo, new_beta)), history=target)
+    return update_betas(state, sims.reshape(1, -1), statistic, k)[2]
 
 
 @dataclass(frozen=True, eq=False)

@@ -9,6 +9,7 @@ starting with ``imagesource`` or ``gsd`` are skipped.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import asdict, dataclass, fields, is_dataclass, replace
@@ -148,10 +149,17 @@ class AnnotationRecord:
     difficult: int = 0
 
 
-def dota_category_table() -> dict[str, int]:
-    """The 15 standard aerial categories, loaded from the packaged table."""
+@functools.cache
+def _packaged_categories() -> dict[str, int]:
     with resources.files("obblab.data").joinpath("dota_categories.json").open() as fh:
         return json.load(fh)
+
+
+def dota_category_table() -> dict[str, int]:
+    """The 15 standard aerial categories of the packaged table, read once
+    per process; each call returns a fresh dict, which the caller may
+    change."""
+    return dict(_packaged_categories())
 
 
 def parse_dota_line(text: str) -> AnnotationRecord | None:

@@ -18,6 +18,7 @@ from obblab.assignment import (
     CONSTANT_ONE,
     GroundTruth,
     MasConfig,
+    adaptive_thresholds,
     assign_atss,
     assign_mas,
     generate_anchors,
@@ -81,9 +82,11 @@ def test_criterion_2_shape_weight_structure():
     start = time.time()
     aspects = np.linspace(1.0, 12.0, 100)
     angles = np.linspace(-QP, 3 * QP, 64, endpoint=False)
-    weights = np.array(
-        [[shape_weight(float(a), float(t), 5.0) for t in angles] for a in aspects]
-    )
+    weights = adaptive_thresholds(*np.meshgrid(aspects, angles, indexing="ij"), 0.0, MasConfig(gamma=5.0))[1]
+    # the scalar form is the one-cell case, on a sample of cells
+    rows, cols = np.random.default_rng(2).integers(0, (100, 64), (40, 2)).T
+    sampled = [shape_weight(float(aspects[i]), float(angles[j]), 5.0) for i, j in zip(rows, cols)]
+    assert np.array_equal(np.array(sampled).view(np.int64), weights[rows, cols].view(np.int64))
     # strictly decreasing in aspect within every angle column
     assert np.all(np.diff(weights, axis=0) < 0.0)
     # per-aspect maximum at the grid angle nearest an equilibrium

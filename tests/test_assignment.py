@@ -15,6 +15,7 @@ from obblab.assignment import (
     GroundTruth,
     MasConfig,
     MaxIouConfig,
+    adaptive_thresholds,
     angle_weight,
     assign_atss,
     assign_maxiou,
@@ -1245,8 +1246,13 @@ class TestThresholdMonotonicity:
         gammas = [3.0, 5.0, 7.0]
         aspects = np.linspace(1.0, 12.0, 60)
         angles = np.linspace(-QP, 3 * QP, 64, endpoint=False)
+        cells = np.meshgrid(aspects, angles, indexing="ij")
+        rows, cols = np.random.default_rng(5).integers(0, (60, 64), (40, 2)).T
         for gamma in gammas:
-            f = np.array([[shape_weight(float(a), float(t), gamma) for t in angles] for a in aspects])
+            f = adaptive_thresholds(*cells, 0.0, MasConfig(gamma=gamma))[1]
+            # the scalar form is the one-cell case, on a sample of cells
+            sampled = [shape_weight(float(aspects[i]), float(angles[j]), gamma) for i, j in zip(rows, cols)]
+            assert np.array_equal(np.array(sampled).view(np.int64), f[rows, cols].view(np.int64))
             # decreasing in aspect for every angle
             assert np.all(np.diff(f, axis=0) < 0)
             # non-increasing with distance from the nearest equilibrium

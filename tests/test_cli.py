@@ -2,6 +2,8 @@ import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 import warnings
@@ -732,6 +734,128 @@ class TestLossCheckCommand:
         assert "self-check failed for focal" in capsys.readouterr().err
         report = json.loads((tmp_path / "gradient_check.json").read_text())
         assert report["passed"] is False and report["offenders"] == ["focal"]
+
+
+def reference_check_points(rng, points, beta):
+    """The smooth-L1 check's points as drawn before they came in arrays,
+    verbatim: one scalar draw at a time, in a rejection loop."""
+    step = 1e-6 * beta
+    xs = []
+    while len(xs) < points:
+        x = float(rng.uniform(-4.0 * beta, 4.0 * beta))
+        if abs(abs(x) - beta) < 1e-4 * beta or abs(x) < step:
+            continue
+        xs.append(x)
+    return np.array(xs)
+
+
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    points=st.integers(1, 2000),
+    beta=st.one_of(st.sampled_from([MIN_CHECK_BETA, 1e-300, 1.0, 1e300, MAX_EXTENT]), st.floats(MIN_CHECK_BETA, MAX_EXTENT)),
+)
+@settings(max_examples=100, deadline=None)
+@example(seed=79, points=20, beta=1.0)  # one draw of the first 21 is skipped
+@example(seed=79, points=2000, beta=1.0)  # two of the first 2,002
+def test_check_points_equal_the_scalar_rejection_loop(seed, points, beta):
+    rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    xs, want = cli._smooth_l1_check_points(rng, points, beta), reference_check_points(want_rng, points, beta)
+    assert np.array_equal(xs.view(np.int64), want.view(np.int64))
+    assert rng.bit_generator.state == want_rng.bit_generator.state
+    ps, want_ps = rng.uniform(0.001, 0.999, points), want_rng.uniform(0.001, 0.999, points)
+    assert np.array_equal(ps.view(np.int64), want_ps.view(np.int64))
+
+
+def test_check_points_with_a_skipped_draw():
+    rng = np.random.default_rng(79)
+    assert reference_check_points(rng, 20, 1.0).size == 20
+    assert rng.bit_generator.state == np.random.default_rng(79).bit_generator.advance(21).state
+
+
+# sha256 of beta_trajectory.csv and gradient_check.json, as written when the
+# knee took one update_beta call per iteration and the smooth-L1 points were
+# drawn one at a time
+LOSS_CHECK_DIGESTS = {
+    ("--seed", "0", "--iterations", "1"): (
+        "e288081c74ec8da6810304273254ba8d3209f694ea30bf10319935ce9b9ae9fa",
+        "d0b949ee3443e9f41a62e2c070139ff03c4b4d1d4f102cffd134cd4a88dc5f43",
+    ),
+    ("--seed", "1", "--iterations", "200"): (
+        "74796cf44e941dd163b8d5a9a1f37b847e6a9e3ab36bb8afb199713e3216af0a",
+        "202e4a473718a3fb53ae6ddfb2004b52fd6dc01ed92d4dcbdfb2c68ec7d003f3",
+    ),
+    ("--seed", "2", "--iterations", "5000"): (
+        "445e960342415d9f9bc65e709ca7ede330a18107283e038ad74351266dc26ba7",
+        "d0860d836f554998bc23827c718b5be4c1c4cee584bca4e36fda9892deae8119",
+    ),
+    ("--seed", "3", "--iterations", "200", "--tau", "2.5"): (
+        "6d4121406bf85749f5b7a1f0358d4163b1ddca42f54c656604a710264262bc04",
+        "af7057f22986477cc61339add640a7ac666c65cba46830da29cc55ca22510e21",
+    ),
+    ("--seed", "4", "--iterations", "5000", "--tau", "1e-3"): (
+        "b7fc96d423612a8cf87937b94307c5b54bd6882c80a95caad1bf709b4a964378",
+        "2a42c9458022f84eaf9117976c2cf0809151a18534fd9ce51f66050f012efd03",
+    ),
+    ("--seed", "5", "--schedule", "constant", "--iterations", "1"): (
+        "d7c605cced90911772ee35154fec38937cbcc730ccb15ef77d6d7df24ec7c6c6",
+        "bc5b62da17b8a10ece63a079bab31f7462c5556e03f0dbd4850e85e60eddc766",
+    ),
+    ("--seed", "6", "--schedule", "constant", "--iterations", "200", "--constant-s", "0.37"): (
+        "0308438dfe3fbfb5289811cefdf118f3fc66c7fc895695a3cb503ffc4d92e79f",
+        "ca999b31518c6f5b97920f3f883f3fd4a17f23af391aaad1f1e2e3f19daf2b30",
+    ),
+    ("--seed", "7", "--schedule", "constant", "--iterations", "5000", "--constant-s", "1e300"): (
+        "7c12bb1b1d522731161d86d3c0fe4a555f64507bb59dc83b1e69d9f7341b25f2",
+        "013b0cc438e13654b61d096dde01b7ccb8c4e3316f270e6e031029e1b18f137f",
+    ),
+    ("--seed", "8", "--schedule", "constant", "--iterations", "200", "--constant-s", "-2.0"): (
+        "8824eb6ac35772f2c086e3fb02dd1f284e458cc2a6ddc3f4bbf68d550c6e0e22",
+        "71970358434063c791830c45c0228fee2059c5989c6951a043aed7951894b92e",
+    ),
+}
+
+
+@pytest.mark.parametrize("flags", LOSS_CHECK_DIGESTS)
+def test_loss_check_writes_the_pinned_bytes(tmp_path, flags):
+    assert run_cli(["loss-check", *flags, "--out", tmp_path]) == EXIT_OK
+    names = ("beta_trajectory.csv", "gradient_check.json")
+    digests = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in names)
+    assert digests == LOSS_CHECK_DIGESTS[flags]
+
+
+def test_main_keeps_one_parser_and_runs_a_patched_command(tmp_path, monkeypatch):
+    assert build_parser() is not build_parser()
+    argv = ["iou", "--out", tmp_path, "0", "0", "2", "1", "0", "0", "0", "2", "1", "0"]
+    assert run_cli(argv) == EXIT_OK
+    parser = cli._parser()
+    calls = []
+    monkeypatch.setattr(cli, "cmd_iou", lambda args, cfg: calls.append(args.box) or EXIT_SELFCHECK)
+    assert run_cli(argv) == EXIT_SELFCHECK
+    assert calls == [[0.0, 0.0, 2.0, 1.0, 0.0, 0.0, 0.0, 2.0, 1.0, 0.0]] and cli._parser() is parser
+
+
+@pytest.mark.parametrize(
+    "command", ["stats-maxiou", "stats-atss", "stats-mas", "thresholds", "loss-check", "iou", "assign-file", "cfs-demo"]
+)
+def test_no_subcommand_loads_numpy_ma(tmp_path, command):
+    # numpy.ma costs about 10 ms and 1 MB of RSS at import; np.median and
+    # np.unique load it
+    lines = FIXTURE.read_text().splitlines()
+    del lines[29]  # the malformed line
+    (tmp_path / "scene.txt").write_text("\n".join(lines) + "\n")
+    own = {
+        "stats-maxiou": ["stats", "--strategy", "maxiou", "--scenes", "1"],  # reaches maxiou's fallback
+        "stats-atss": ["stats", "--strategy", "atss", "--scenes", "1"],
+        "stats-mas": ["stats", "--strategy", "mas", "--scenes", "1"],
+        "assign-file": ["assign-file", tmp_path / "scene.txt"],
+    }
+    argv = [*own[command], "--out", tmp_path / "o"] if command in own else subcommand_argv(tmp_path, command)
+    script = "import sys; from obblab.cli import main; code = main(sys.argv[1:]); print(code, 'numpy.ma' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", script, *map(str, argv)], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.splitlines()[-1] == "0 False"
 
 
 class TestIouCommand:

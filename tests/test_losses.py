@@ -2,6 +2,7 @@ import gc
 import logging
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,7 +27,9 @@ from obblab.losses import (
     scale_similarity,
     smooth_l1,
     smooth_l1_grad,
+    _row_medians,
     update_beta,
+    update_betas,
     wrap_angle_delta,
 )
 
@@ -255,6 +258,92 @@ class TestUpdateBeta:
             BetaState(beta_scale=2.0, clamp=(0.1, 1.0))
         with pytest.raises(ValueError):
             BetaState(momentum=1.0)
+
+
+def reference_update_beta(state, similarities, statistic="median", k=None):
+    """``update_beta`` as written before ``update_betas``, verbatim but for
+    its empty-batch warning."""
+    sims = np.asarray(list(similarities), dtype=float)
+    if sims.size == 0:
+        return state
+    if not np.all(np.isfinite(sims)):
+        raise ValueError("similarities must be finite")
+    mismatch = 1.0 - sims
+    if statistic == "median":
+        target = float(np.median(mismatch))
+    elif statistic == "kth-smallest":
+        if k is None or not 1 <= k <= mismatch.size:
+            raise ValueError("kth-smallest needs 1 <= k <= batch size")
+        target = float(np.sort(mismatch)[k - 1])
+    else:
+        raise ValueError(f"unknown statistic {statistic!r}")
+    lo, hi = state.clamp
+    new_beta = state.momentum * state.beta_scale + (1.0 - state.momentum) * target
+    return replace(state, beta_scale=min(hi, max(lo, new_beta)), history=target)
+
+
+TINY = 5e-324
+# values with ties, both zeros, subnormals and the float range's edges
+KNEE_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, TINY, -TINY, 2.2250738585072014e-308, 0.5, 1.0, 1.0 - 2**-53, 1e308, -1e308]),
+    st.floats(-1e308, 1e308),
+    st.floats(0.0, 1.0),
+)
+BETA_STATES = st.sampled_from([
+    BetaState(),
+    BetaState(momentum=0.0),
+    BetaState(beta_scale=0.5, momentum=0.3, clamp=(0.1, 0.6)),
+    BetaState(beta_scale=TINY, momentum=0.999, clamp=(TINY, 1e308)),
+])
+
+
+@st.composite
+def knee_batches(draw):
+    steps = draw(st.integers(1, 5))
+    batch = draw(st.sampled_from([1, 2, 3, 4, 5, 6, 7, 8, 31, 32, 63, 64]))
+    pool = draw(st.lists(KNEE_VALUES, min_size=1, max_size=12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    distinct = rng.uniform(-1.0, 2.0, draw(st.sampled_from([0, batch])))
+    return rng.choice(np.concatenate([pool, distinct]), (steps, batch))  # each value may repeat
+
+
+@given(values=knee_batches())
+@settings(max_examples=300, deadline=None)
+@example(values=np.array([[-0.0], [-0.0]]))
+@example(values=np.array([[-0.0, -0.0], [TINY, -TINY], [-1e308, -1e308]]))
+def test_row_medians_are_np_median_bit_for_bit(values):
+    got = _row_medians(values)
+    with np.errstate(over="ignore"):
+        want = np.array([np.median(row) for row in values])
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@given(sims=knee_batches(), state=BETA_STATES, statistic=st.sampled_from(["median", "kth-smallest"]), pick=st.integers(0, 63))
+@settings(max_examples=300, deadline=None)
+@example(sims=np.array([[1e308, -1e308, 1e308, -1e308]]), state=BetaState(), statistic="median", pick=0)
+def test_update_betas_is_a_loop_of_the_scalar_update(sims, state, statistic, pick):
+    k = 1 + pick % sims.shape[1] if statistic == "kth-smallest" else None
+    targets, betas, final = update_betas(state, sims, statistic, k)
+    want, want_targets, want_betas = state, [], []
+    for row in sims:
+        with np.errstate(over="ignore"):
+            one = update_beta(want, row, statistic, k)
+            want = reference_update_beta(want, row, statistic, k)
+        assert (_bits(one.beta_scale), _bits(one.history)) == (_bits(want.beta_scale), _bits(want.history))
+        want_targets.append(want.history)
+        want_betas.append(want.beta_scale)
+    assert np.array_equal(targets.view(np.int64), np.array(want_targets).view(np.int64))
+    assert np.array_equal(betas.view(np.int64), np.array(want_betas).view(np.int64))
+    assert (_bits(final.beta_scale), _bits(final.history)) == (_bits(want.beta_scale), _bits(want.history))
+    assert (final.momentum, final.clamp) == (state.momentum, state.clamp)
+
+
+def test_update_betas_shapes():
+    targets, betas, state = update_betas(BetaState(beta_scale=0.4), np.zeros((0, 3)))
+    assert targets.shape == betas.shape == (0,) and state == BetaState(beta_scale=0.4)
+    for bad in (np.zeros((2, 0)), np.zeros(3), np.zeros((1, 2, 3))):
+        with pytest.raises(ValueError, match="steps, batch"):
+            update_betas(BetaState(), bad)
 
 
 @pytest.fixture(scope="module")

@@ -1,5 +1,6 @@
 import json
 import math
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -177,6 +178,15 @@ class TestRecordsToGts:
         assert len(table) == 15
         assert table["plane"] == 0
         assert table["helicopter"] == 14
+
+    def test_category_table_is_a_fresh_copy_of_the_file(self):
+        # records_to_gts(unknown="extend") adds to the table it is given
+        packaged = json.loads(resources.files("obblab.data").joinpath("dota_categories.json").read_text())
+        first, second = dota_category_table(), dota_category_table()
+        assert first is not second and first == second == packaged
+        first["bogus"] = 15
+        del first["plane"]
+        assert dota_category_table() == second == packaged
 
 
 class TestRoundTrip:
