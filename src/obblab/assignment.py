@@ -11,9 +11,12 @@ resolver and one starved-gt fallback:
 * ``assign_mas``     -- the adaptive threshold modulated by a shape weight
   that lowers the bar for elongated and strongly rotated objects.
 
-One square anchor is placed per feature-grid location. Assignment over
-independent scenes is embarrassingly parallel; all functions are pure and
-the anchor grid is immutable, so it can be shared across threads.
+One square anchor is placed per feature-grid location. The pipeline runs
+over a stack of scenes that share one anchor grid, and a one-scene call
+is a stack of one: each scene owns its own copy of every anchor (a slot),
+so its labels, thresholds and positive counts are those of a call of its
+own, label for label and bit for bit. All functions are pure and the
+anchor grid is immutable, so it can be shared across threads.
 """
 
 from __future__ import annotations
@@ -340,9 +343,9 @@ def _runs(firsts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
 def iou_statistics(candidate_ious) -> tuple[float, float, float]:
     """Mean, population standard deviation, and their sum (the adaptive
     initial threshold) of a candidate IoU list, as floats, or of each row
-    of a table of them, as arrays."""
+    of a table of them, as arrays (empty for a table of no rows)."""
     ious = np.asarray(candidate_ious, dtype=float)
-    if ious.size == 0:
+    if ious.shape[-1:] == (0,):
         raise ValueError("no candidate IoUs")
     if not np.all((ious >= 0.0) & (ious <= 1.0)):
         raise ValueError("IoU values must lie in [0, 1]")
@@ -544,10 +547,12 @@ def _iou_bounds(lo, hi, owner, x, y, half, gt_area, gt_half_w, anchor_area) -> n
 
 @dataclass(eq=False)
 class _CandidateTable:
-    """The candidate stage of one scene: its gts' frames (six (gts,)
+    """The candidate stage of a stack of scenes: its gts' frames (six (gts,)
     columns) and areas, and one (gt, anchor) row per candidate, owner-major,
-    with the anchor's centre (x, y), half side and area. ``iou`` holds a
-    row's exact IoU once :meth:`clip` has run on it, and 0 while the row is
+    with the anchor's slot (the anchor plus its scene times the grid's
+    anchor count, so the scenes of a stack share no anchor) and the
+    anchor's centre (x, y), half side and area. ``iou`` holds a row's exact
+    IoU once :meth:`clip` has run on it, and 0 while the row is
     ``pending``; ``bound`` (maxiou) is an upper bound on each row's IoU."""
 
     frames: np.ndarray
@@ -572,16 +577,14 @@ class _CandidateTable:
         self.pending[rows] = False
 
 
-def _candidates(grid: AnchorGrid, gts, cfg: MasConfig | MaxIouConfig) -> _CandidateTable | None:
-    """The candidate stage: the k nearest anchors per level of every gt
-    (ATSS and MAS), every row clipped, or the anchors each gt overlaps
-    (maxiou), clipped only where :func:`_iou_bounds` reaches ``neg_thr``:
-    a row below it can neither claim nor enter the ignore band, and stays
-    pending for the fallback. None for a scene without gts."""
-    if not gts:
-        return None
-    frames = np.array([_box_frame(gt.box) for gt in gts]).T  # six (gts,) columns
-    gt_area = np.array([gt.box.area for gt in gts])
+def _candidates(grid: AnchorGrid, scenes, sizes: np.ndarray, cfg: MasConfig | MaxIouConfig) -> _CandidateTable:
+    """The candidate stage of a stack of scenes of ``sizes`` gts each: the
+    k nearest anchors per level of every gt (ATSS and MAS), every row
+    clipped, or the anchors each gt overlaps (maxiou), clipped only where
+    :func:`_iou_bounds` reaches ``neg_thr``: a row below it can neither
+    claim nor enter the ignore band, and stays pending for the fallback."""
+    frames = np.array([_box_frame(gt.box) for gts in scenes for gt in gts]).reshape(-1, 6).T  # six (gts,) columns
+    gt_area = np.array([gt.box.area for gts in scenes for gt in gts])
     adaptive = isinstance(cfg, MasConfig)
     if adaptive:
         anchor, owner = _nearest_anchors(grid, frames[0], frames[1], cfg.candidate_k)
@@ -592,67 +595,85 @@ def _candidates(grid: AnchorGrid, gts, cfg: MasConfig | MaxIouConfig) -> _Candid
     (x, y), sides = grid.centers[anchor].T, grid.sizes[anchor]
     half, anchor_area = 0.5 * sides, sides * sides
     bound = None if adaptive else _iou_bounds(lo, hi, owner, x, y, half, gt_area, frames[4], anchor_area)
+    anchor += np.repeat(np.arange(sizes.size) * grid.num_anchors, sizes)[owner]  # each scene's own slots
     table = _CandidateTable(frames, gt_area, anchor, owner, x, y, half, anchor_area, bound)
     table.clip(slice(None) if adaptive else np.flatnonzero(bound >= cfg.neg_thr))
     return table
 
 
-def _label(grid: AnchorGrid, gts, cfg: MasConfig | MaxIouConfig, table: _CandidateTable | None) -> AssignmentResult:
-    """The labelling stage. ATSS and MAS give every gt as many candidates,
-    so their rows reshape to a (gts, candidates) array, thresholded by
+def _label(grid: AnchorGrid, scenes, sizes: np.ndarray, cfg: MasConfig | MaxIouConfig, table: _CandidateTable):
+    """The labelling stage of a stack of scenes of ``sizes`` gts each, one
+    result per scene. ATSS and MAS give every gt as many candidates, so
+    their rows reshape to a (gts, candidates) array, thresholded by
     :func:`adaptive_thresholds` and centre-prior tested by
     :func:`_inside_mask` in one call each. Each gt claims its rows whose IoU
     is nonzero and meets its threshold (maxiou: ``pos_thr``). Claims are
     resolved by IoU, maxiou marks its ignore band, and
     :func:`_apply_fallback` serves the starved gts from the same table. Only
     the fallback writes into the table, when it clips pending rows, which
-    ATSS and MAS tables do not have."""
+    ATSS and MAS tables do not have.
+
+    Labels live in one (scenes x anchors) array of slots. A scene's gts
+    are consecutive and keep their order, and its slots keep the order of
+    its anchors, so the tie rules (lowest gt, lowest anchor) pick within a
+    scene as they would in a call of its own; a scene without gts reads IoU
+    0 at every slot, as such a call does."""
     adaptive = isinstance(cfg, MasConfig)
-    if not gts:  # every anchor's highest IoU is 0, in maxiou's ignore band at neg_thr 0
-        label = NEGATIVE if adaptive or cfg.neg_thr > 0.0 else IGNORE
-        return AssignmentResult(np.full(grid.num_anchors, label, dtype=int), np.empty(0), np.zeros(0, dtype=int))
     iou, owner, anchor = table.iou, table.owner, table.anchor
     eligible = iou > 0.0
     if adaptive:
-        _, _, init = iou_statistics(iou.reshape(len(gts), -1))
-        thresholds = adaptive_thresholds([gt.aspect for gt in gts], [gt.angle for gt in gts], init, cfg)[3]
+        per_gt = sum(min(cfg.candidate_k, level.stop - level.start) for level in grid.level_slices)
+        _, _, init = iou_statistics(iou.reshape(-1, per_gt))
+        aspects = [gt.aspect for gts in scenes for gt in gts]
+        thresholds = adaptive_thresholds(aspects, [gt.angle for gts in scenes for gt in gts], init, cfg)[3]
         if cfg.use_center_prior:
-            x, y = table.x.reshape(len(gts), -1), table.y.reshape(len(gts), -1)
+            x, y = table.x.reshape(-1, per_gt), table.y.reshape(-1, per_gt)
             eligible &= _inside_mask(table.frames[..., None], x, y).ravel()
     else:
-        thresholds = np.full(len(gts), cfg.pos_thr)
+        thresholds = np.full(table.gt_area.size, cfg.pos_thr)
     eligible &= iou >= thresholds[owner]
 
-    gt_index = np.full(grid.num_anchors, NEGATIVE, dtype=int)
+    gt_index = np.full(sizes.size * grid.num_anchors, NEGATIVE, dtype=int)
     _resolve_claims(gt_index, anchor[eligible], iou[eligible], owner[eligible])
     if not adaptive:  # unclaimed anchors whose highest IoU (0 without a row) reaches neg_thr
         band = anchor[iou >= cfg.neg_thr] if cfg.neg_thr > 0.0 else np.flatnonzero(gt_index == NEGATIVE)
         gt_index[band[gt_index[band] == NEGATIVE]] = IGNORE
-    counts = _apply_fallback(gt_index, table, len(gts))
-    return AssignmentResult(gt_index=gt_index, thresholds=thresholds, positive_counts=counts)
+    counts = _apply_fallback(gt_index, table, table.gt_area.size)
+    firsts = np.cumsum(sizes) - sizes
+    gt_index = gt_index.reshape(sizes.size, grid.num_anchors)
+    later = gt_index[1:]  # each scene's own gt indices; the first scene's are already its own
+    np.subtract(later, firsts[1:, None], out=later, where=later >= 0)
+    return [
+        AssignmentResult(labels, thresholds[first : first + size], counts[first : first + size])
+        for labels, first, size in zip(gt_index, firsts.tolist(), sizes.tolist())
+    ]
 
 
-def _assign_all(grid: AnchorGrid, gts, cfgs) -> list[AssignmentResult]:
-    """The labelling pipeline of all three strategies, for each config of
+def _assign_all(grid: AnchorGrid, scenes, cfgs) -> list[list[AssignmentResult]]:
+    """The labelling pipeline of all three strategies over the stack of
+    scenes ``scenes`` (a sequence of gt sequences), for each config of
     ``cfgs``: a candidate stage (:func:`_candidates`), then a labelling
-    stage (:func:`_label`). Each distinct candidate table is built once:
-    ATSS and MAS configs of one ``candidate_k`` share theirs. A maxiou
-    config gets a table of its own, as its fallback clips into it."""
+    stage (:func:`_label`). Entry [c][s] is scene s labelled by config c,
+    label for label as a call on that scene alone. Each distinct candidate
+    table is built once: ATSS and MAS configs of one ``candidate_k`` share
+    theirs. A maxiou config gets a table of its own, as its fallback clips
+    into it."""
+    sizes = np.array([len(gts) for gts in scenes], dtype=int)
     shared = {}
 
     def table(cfg):
         if not isinstance(cfg, MasConfig):
-            return _candidates(grid, gts, cfg)
+            return _candidates(grid, scenes, sizes, cfg)
         if cfg.candidate_k not in shared:
-            shared[cfg.candidate_k] = _candidates(grid, gts, cfg)
+            shared[cfg.candidate_k] = _candidates(grid, scenes, sizes, cfg)
         return shared[cfg.candidate_k]
 
-    return [_label(grid, gts, cfg, table(cfg)) for cfg in cfgs]
+    return [_label(grid, scenes, sizes, cfg, table(cfg)) for cfg in cfgs]
 
 
 def _assign(grid: AnchorGrid, gts, cfg: MasConfig | MaxIouConfig) -> AssignmentResult:
-    """:func:`_assign_all` of one config."""
-    return _assign_all(grid, gts, [cfg])[0]
+    """:func:`_assign_all` of one config over a stack of one scene."""
+    return _assign_all(grid, [gts], [cfg])[0][0]
 
 
 def assign_mas(grid: AnchorGrid, gts, cfg: MasConfig | None = None) -> AssignmentResult:

@@ -34,10 +34,19 @@ from .assignment import (
     adaptive_thresholds,
     generate_anchors,
     iou_statistics,
-    _assign,
     _assign_all,
 )
-from .geometry import MAX_EXTENT, QUARTER_PI, HALF_PI, OrientedBox, normalize_obb, mc_iou_oracle, rotated_iou
+from .geometry import (
+    _STACK_GTS,
+    _STACK_SLOTS,
+    HALF_PI,
+    MAX_EXTENT,
+    QUARTER_PI,
+    OrientedBox,
+    mc_iou_oracle,
+    normalize_obb,
+    rotated_iou,
+)
 from .losses import (
     BetaState,
     MultiTaskLossConfig,
@@ -368,20 +377,40 @@ def _bin_stats(values, positives, lo, hi, bins) -> BinnedStats:
     return BinnedStats(edges=edges, gt_count=gt_count, mean_positives=means, zero_positive_gts=zeros)
 
 
+def _scene_stacks(cfg: RunConfig, base_seed: int, num_anchors: int):
+    """The gts of the ``stats.scenes`` scenes of seeds ``base_seed``,
+    ``base_seed + 1``, ..., generated in order and handed out in stacks of
+    consecutive scenes with at most ``_STACK_SLOTS`` anchor slots
+    (``num_anchors`` per scene) and ``_STACK_GTS`` gts. A scene over either
+    bound is a stack of its own."""
+    stack, stack_gts = [], 0
+    for index in range(cfg.stats.scenes):
+        gts = generate_scene(replace(cfg.scene, seed=base_seed + index)).gts
+        if stack and ((len(stack) + 1) * num_anchors > _STACK_SLOTS or stack_gts + len(gts) > _STACK_GTS):
+            yield stack
+            stack, stack_gts = [], 0
+        stack.append(gts)
+        stack_gts += len(gts)
+    yield stack
+
+
 def run_assignment_stats(cfg: RunConfig, strategy: str, base_seed: int):
-    """Generate scenes, assign, and bin positives by aspect and by angle."""
+    """Generate ``stats.scenes`` scenes, assign them, and bin their gts'
+    positives by aspect and by angle. The scenes are labelled a stack at a
+    time (:func:`_scene_stacks`) in one pass of :func:`_assign_all`, which
+    labels each scene as a call of its own would; a stack is dropped once
+    its gts are counted, so memory does not grow with the scene count."""
     grid = generate_anchors(cfg.scene.image_size, cfg.anchors.strides, cfg.anchors.scale_multiplier)
     config = _strategy_config(strategy, cfg)
     aspects: list[float] = []
     angles: list[float] = []
     positives: list[int] = []
-    for index in range(cfg.stats.scenes):
-        scene = generate_scene(replace(cfg.scene, seed=base_seed + index))
-        result = _assign(grid, scene.gts, config)
-        for g, gt in enumerate(scene.gts):
-            aspects.append(gt.aspect)
-            angles.append(gt.angle)
-            positives.append(int(result.positive_counts[g]))
+    for stack in _scene_stacks(cfg, base_seed, grid.num_anchors):
+        [results] = _assign_all(grid, stack, [config])
+        for gts, result in zip(stack, results):
+            aspects += [gt.aspect for gt in gts]
+            angles += [gt.angle for gt in gts]
+            positives += result.positive_counts.tolist()
     aspect_stats = _bin_stats(aspects, positives, *cfg.scene.aspect_range, cfg.scene.aspect_bins)
     angle_stats = _bin_stats(angles, positives, *cfg.scene.angle_range, cfg.scene.angle_bins)
     totals = {
@@ -653,7 +682,8 @@ def cmd_assign_file(args: argparse.Namespace, cfg: RunConfig) -> int:
     gts, skipped = records_to_gts(parse_result.records, include_difficult=args.include_difficult)
 
     grid = generate_anchors(cfg.scene.image_size, cfg.anchors.strides, cfg.anchors.scale_multiplier)
-    results = dict(zip(STRATEGIES, _assign_all(grid, gts, [_strategy_config(s, cfg) for s in STRATEGIES])))
+    configs = [_strategy_config(s, cfg) for s in STRATEGIES]
+    results = {strategy: result for strategy, [result] in zip(STRATEGIES, _assign_all(grid, [gts], configs))}
     comparison = {
         strategy: {
             "positives_total": int(result.num_positives),

@@ -48,6 +48,16 @@ _ORACLE_BLOCK = 8192
 # benchmark's scenes make clips fewer rows, in one pass.
 _CLIP_BLOCK_ROWS = 65536
 
+# Bounds of a stack of scenes that `stats` labels in one pass: anchor slots
+# (one per anchor of each scene) and gts. A scene over either bound is a
+# stack of its own, so the pipeline's memory does not grow with the scene
+# count. On the default grid (21,824 anchors), both bounds admit six 20-gt
+# scenes. Measured on a 2-core VM, per-scene cost falls by 30-40% from one
+# such scene to six and by 2-4% more at twelve, which doubles the memory,
+# and stacks of 100-gt scenes gain nothing.
+_STACK_SLOTS = 2**17
+_STACK_GTS = 128
+
 
 class DegenerateQuadError(ValueError):
     """Raised for quads with (near-)zero area or non-convex vertex sets."""

@@ -99,8 +99,21 @@ class Scene:
     gts: tuple[GroundTruth, ...]
 
 
-def _sample_center(rng: np.random.Generator, spec: SceneSpec, w: float, h: float, theta: float):
-    """Uniform center such that the rotated box lies fully inside the image."""
+def _uniform(low: float, high: float, u: float) -> float:
+    """``Generator.uniform(low, high)`` of the draw ``u`` of
+    ``Generator.random``: low + (high - low) * u, with its errors for a
+    range that is not finite or is negative (-0.0 included)."""
+    span = float(high) - float(low)
+    if not math.isfinite(span):
+        raise OverflowError("high - low range exceeds valid bounds")
+    if math.copysign(1.0, span) < 0.0:
+        raise ValueError("high - low < 0")
+    return low + span * u
+
+
+def _sample_center(spec: SceneSpec, w: float, h: float, theta: float, u_x: float, u_y: float):
+    """Uniform center, of the draws ``u_x`` and ``u_y``, such that the
+    rotated box lies fully inside the image."""
     width, height = spec.image_size
     ex = 0.5 * (w * abs(math.cos(theta)) + h * abs(math.sin(theta)))
     ey = 0.5 * (w * abs(math.sin(theta)) + h * abs(math.cos(theta)))
@@ -109,7 +122,7 @@ def _sample_center(rng: np.random.Generator, spec: SceneSpec, w: float, h: float
             f"object of size {w:.1f}x{h:.1f} at angle {theta:.3f} does not fit "
             f"inside {width}x{height}"
         )
-    return rng.uniform(ex, width - ex), rng.uniform(ey, height - ey)
+    return _uniform(ex, width - ex, u_x), _uniform(ey, height - ey, u_y)
 
 
 def _bin_centers(lo: float, hi: float, bins: int) -> np.ndarray:
@@ -118,25 +131,30 @@ def _bin_centers(lo: float, hi: float, bins: int) -> np.ndarray:
 
 
 def generate_scene(spec: SceneSpec) -> Scene:
-    """Materialize a scene; identical specs produce identical scenes."""
+    """Materialize a scene; identical specs produce identical scenes.
+
+    All of a scene's uniforms come from one ``rng.random`` array, in the
+    order of one ``rng.uniform`` call per value: per object the log-aspect,
+    angle, long edge and center (uniform placement), or per (aspect, angle)
+    cell the long edge and center (grid sweep). Objects are built in that
+    order, so the first that cannot be built raises its error."""
     rng = np.random.default_rng(spec.seed)
-    gts: list[GroundTruth] = []
     if spec.placement == UNIFORM:
         log_lo, log_hi = math.log(spec.aspect_range[0]), math.log(spec.aspect_range[1])
-        for _ in range(spec.object_count):
-            aspect = math.exp(rng.uniform(log_lo, log_hi))
-            theta = float(rng.uniform(*spec.angle_range))
-            long_edge = float(rng.uniform(*spec.scale_range))
-            cx, cy = _sample_center(rng, spec, long_edge, long_edge / aspect, theta)
-            gts.append(GroundTruth(normalize_obb(cx, cy, long_edge, long_edge / aspect, theta)))
+        shapes = (
+            (math.exp(_uniform(log_lo, log_hi, u0)), _uniform(*spec.angle_range, u1), (u2, u3, u4))
+            for u0, u1, u2, u3, u4 in map(np.ndarray.tolist, rng.random((spec.object_count, 5)))
+        )
     else:
-        for aspect in _bin_centers(*spec.aspect_range, spec.aspect_bins):
-            for theta in _bin_centers(*spec.angle_range, spec.angle_bins):
-                long_edge = float(rng.uniform(*spec.scale_range))
-                cx, cy = _sample_center(rng, spec, long_edge, long_edge / aspect, float(theta))
-                gts.append(
-                    GroundTruth(normalize_obb(cx, cy, long_edge, long_edge / aspect, float(theta)))
-                )
+        aspects = _bin_centers(*spec.aspect_range, spec.aspect_bins).tolist()
+        thetas = _bin_centers(*spec.angle_range, spec.angle_bins).tolist()
+        draws = iter(rng.random(3 * len(aspects) * len(thetas)).tolist())
+        shapes = ((aspect, theta, u) for aspect in aspects for theta, *u in zip(thetas, draws, draws, draws))
+    gts = []
+    for aspect, theta, (u_edge, u_x, u_y) in shapes:
+        long_edge = _uniform(*spec.scale_range, u_edge)
+        cx, cy = _sample_center(spec, long_edge, long_edge / aspect, theta, u_x, u_y)
+        gts.append(GroundTruth(normalize_obb(cx, cy, long_edge, long_edge / aspect, theta)))
     return Scene(spec=spec, gts=tuple(gts))
 
 

@@ -1205,11 +1205,48 @@ def config_lists(draw):
 )
 @settings(max_examples=40, deadline=None)
 def test_one_call_labels_each_config_as_its_own_call(gts, cfgs):
-    results = assignment._assign_all(CROWDED_GRID, gts, cfgs)
+    results = [per_scene for [per_scene] in assignment._assign_all(CROWDED_GRID, [gts], cfgs)]
     assert len(results) == len(cfgs)
     for got, cfg in zip(results, cfgs):
         assert_same_result(got, _assign(CROWDED_GRID, gts, cfg))
         assert_same_result(got, reference_assign(CROWDED_GRID, gts, cfg))
+
+
+@st.composite
+def scene_stacks(draw):
+    """A stack of up to 6 scenes drawn, with repeats, from up to 4: empty
+    scenes, one-gt scenes and `crowded_scenes`. A scene that comes twice
+    has the same anchors and IoUs in both places, so any claim, ignore mark
+    or forced anchor that leaks across scenes shows."""
+    scene = st.one_of(
+        st.just([]),
+        st.integers(0, 2**32 - 1).map(lambda seed: crowded_gts(seed, 1)),
+        crowded_scenes(),
+    )
+    distinct = draw(st.lists(scene, min_size=1, max_size=4))
+    return [distinct[i] for i in draw(st.lists(st.integers(0, len(distinct) - 1), min_size=1, max_size=6))]
+
+
+@given(scenes=scene_stacks(), cfgs=config_lists())
+@example(scenes=[[], []], cfgs=[MaxIouConfig(0.0, 0.0), MaxIouConfig(), MasConfig(unit_weight=True), MasConfig()])
+@example(
+    scenes=[crowded_gts(90034, 40), [], crowded_gts(90034, 40), crowded_gts(7, 1)],
+    cfgs=[
+        MaxIouConfig(),
+        MaxIouConfig(0.5, 0.0),
+        MasConfig(candidate_k=1, unit_weight=True),
+        MasConfig(candidate_k=16, use_center_prior=False, lambda_mode=CONSTANT_ONE),
+        MasConfig(raw_lambda=True),
+    ],
+)
+@settings(max_examples=60, deadline=None)
+def test_stacked_scenes_are_labelled_as_calls_of_their_own(scenes, cfgs):
+    results = assignment._assign_all(CROWDED_GRID, scenes, cfgs)
+    assert [len(per_scene) for per_scene in results] == [len(scenes)] * len(cfgs)
+    for per_scene, cfg in zip(results, cfgs):
+        for got, gts in zip(per_scene, scenes):
+            assert_same_result(got, _assign(CROWDED_GRID, gts, cfg))
+            assert_same_result(got, reference_assign(CROWDED_GRID, gts, cfg))
 
 
 def meshgrid_anchors(image_size, strides, scale_multiplier):

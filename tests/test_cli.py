@@ -40,7 +40,7 @@ from obblab.cli import (
     threshold_surface,
 )
 from obblab.geometry import MAX_EXTENT
-from obblab.scenes import MAX_BINS, from_dict
+from obblab.scenes import MAX_BINS, from_dict, generate_scene
 
 FIXTURE = Path(__file__).parent / "data" / "dota_sample.txt"
 
@@ -1403,3 +1403,166 @@ def test_csv_writer_memory_does_not_grow_with_the_rows():
             tracemalloc.stop()
     assert peaks[10**6] < 1.1 * peaks[10**5]
     assert max(peaks.values()) < 1e6  # 0.61 MB; the formatted column alone is 70 MB at 10^6 rows
+
+
+# sha256 of stats_aspect.csv, stats_angle.csv and stats.json, as written when
+# each scene was drawn with one rng.uniform call per value and assigned in a
+# call of its own. The default bounds stack six default scenes: 13 scenes are
+# three stacks, 300-object and 192-cell scenes are stacks of their own.
+STATS_DIGESTS = {
+    (("--strategy", "maxiou", "--seed", "0"), None): (
+        "2419e5fc25263f0e1b4f5dfd9c99964cc0a22e777854f85e02411ab0faa7eeff",
+        "6b6eecc80e85db4ffbd0f19f9f625ef510c5a4e99f19c5156aaf07545adbaa7a",
+        "40fb75bd11857a247d55ca7ab1fd6dc778bdd9f7145301f84a0a7946c4ce9e7f",
+    ),
+    (("--strategy", "atss", "--seed", "0"), None): (
+        "5fc3e2dbbe260286e4dfb84b7c8731ed96e0c0aa9ee743b20eada304bc608092",
+        "33ee3535668c704faeb8520e97097f24b68dc067a4ff9390e20a31ea5f6fcc4d",
+        "0fc8b7ad9e78bf3d53fda4a032aa4de0ad571188f39864225b435bf275b28ac9",
+    ),
+    (("--strategy", "mas", "--seed", "0"), None): (
+        "ef35d5fa57983af7c834ce1860bd40482e7c32ad830caa9bf6d2cc3f2c5569b9",
+        "3202b6d9cb7f9cffb7ca45b602999c4f3d3b22b62d9c7aecc1f1e3df4664ba00",
+        "658c8bb1ff9c0b18971bb6331ed600035a61c9ae70742011fcdab10d65cb25a7",
+    ),
+    (("--strategy", "maxiou", "--seed", "501"), None): (
+        "5f237b3ccc2c2a6138ffb52c07fd31de84b0795a05db5abaee669efc35a8796e",
+        "fd69868911c9e6ea003be51aadfb1d2ecec80d88a662401302b2d389e67851ea",
+        "b95bbafaae5df0914fc632cb5fb1264d8c405c24432587754deb14199b4919ea",
+    ),
+    (("--strategy", "atss", "--seed", "501"), None): (
+        "ebd1f1c2bb3cc684e52a5ac8122593b0dc115cd7d0877c7fb03c39390f3a4015",
+        "6b09eb10e39c0ed8375d80245372b027fe53ebf90306e298c79ee4706952439d",
+        "85a62da00024934d73ce7192f28ab18b6003b1e1f9480789b37d6eec076887b0",
+    ),
+    (("--strategy", "mas", "--seed", "501"), None): (
+        "79fe889c366662909c034578cd70db441c6ca43a56c18abcf5d5c0fac17e0626",
+        "3e3cf6f4fd52ff8d7190002e4631267c250680a504161442ed5dab9cb2642fdb",
+        "80499887bbad17065a8f648cdbd9d046f140303c247a0527233dbea12a4a51a1",
+    ),
+    (("--strategy", "maxiou", "--seed", "7", "--scenes", "1"), None): (
+        "aec75f604c7aef4019d5e0424e1edbedfc3197f6f08b602dae7a8dbd287810f6",
+        "37d04accf1cd15178357155a879ca83465dcbd13a012d4eb02a400d8f17b03d1",
+        "1a5c92b7c68037f26938449309f9518087aaf468daf1361fa70e3aa2f1c2c6d6",
+    ),
+    (("--strategy", "mas", "--seed", "7", "--scenes", "1"), None): (
+        "7cd87ae15dabf4410d27cff8d86fce53c8c32a910b57e4d0bec8c03dbc5def40",
+        "f99de9d3b5a2d057341ca45cfbfcc377d0dac8f0c3575b627f429c065bb54ce4",
+        "c795c911e3a1f61b9b613fcea4c1fa665cee93c7d0069854224559dea45480bd",
+    ),
+    (("--strategy", "maxiou", "--seed", "11", "--scenes", "13"), None): (
+        "10000f0f69dc7c930ade4ad032f08ec2b47a1a4ae53c88b779fc068351cc22f4",
+        "3b65e89656b07547bc70ce3557c34c4fad71ce92982eda209f536405dd527976",
+        "26ade601bea213a0374ffbc24aca427fc0cd1755e92776b5e025fa14c0c78c49",
+    ),
+    (("--strategy", "mas", "--seed", "11", "--scenes", "13"), None): (
+        "c9ef02778f24bf963558067463f0795cd268acc72a9dd5785b57336f392e5130",
+        "9467e598babf61fa81c16baa77cc0628ac1eda2ef3d927217a93e9c4578c47f9",
+        "62d7709f5dc71e80ed0e8313f99681d2f2729d061643836c30fa82bc511ed47f",
+    ),
+    (("--strategy", "maxiou", "--seed", "3", "--scenes", "3"), '{"scene": {"object_count": 300}, "maxiou": {"neg_thr": 0.0}}'): (
+        "3e75a6c8b3ba14fe53dcbe8ff4077522f395c3a46befea9d6a28a941dbd5e05e",
+        "5f92dc8d4e2f4b5d386c7f59af2c50ea1827becb4cb109ed044de4823ac319a0",
+        "d151ccee162e14c07aa6d3f98a66989c031ab382810c6c52b80aad10a33df8f9",
+    ),
+    (("--strategy", "atss", "--seed", "3", "--scenes", "3"), '{"scene": {"object_count": 0}}'): (
+        "1a71a8a840f4adaac9e07dbe3eb3871029682c4265bf4e1bea8d5f4fb48d5c5d",
+        "704d3743e6ec758a4ad83cc9b5fc9c21a6c15a19d5e7127868c05ccd8c7fde0d",
+        "90deb27e9668353ec47286b07ec55d9ea4aae5d5493bc1a73c15ba337c7c143c",
+    ),
+    (("--strategy", "mas", "--seed", "5", "--scenes", "2"), '{"scene": {"placement": "grid-sweep"}}'): (
+        "ae153565597104fa74c73fdfd639a97768dd30e10b9a022293425220c73e2c29",
+        "290b6a81cd8d858d8a4d092ada39a68ece70e4711b275a318e86c609c2cde0f5",
+        "d6bf3235e6f3de120a3f11dc4bfe1866083183ead58457493e11f6ba50605dc5",
+    ),
+    (("--strategy", "atss", "--seed", "5", "--scenes", "3"), '{"scene": {"placement": "grid-sweep", "aspect_bins": 4, "angle_bins": 5}}'): (
+        "836db766bf5bebe2f6981451a8b0934c8a81c8ef9c5aee50f7b765def0deb758",
+        "c184d4bd376193a062c71dfc20c18c417b1777df0e7d578cb15782b8a58ee729",
+        "bc3a7c6b081a89504c50f234f4b82d685d126379ac652e6798bf1f6f04bfca36",
+    ),
+    (("--strategy", "mas", "--seed", "9", "--raw-lambda", "--gamma", "2"), None): (
+        "6f30a288b5c46dd62e1baba96a71904da514ecc431c2b3e780afe4f9a46232e5",
+        "1b9cc18089fae51644b1b0f3f9604a9da945600305fcbe48e6a6bbed348c1866",
+        "92ce8ad2480279e3a4a6b83fa657dd6be21e5a18162116d2ab6eedb51460c012",
+    ),
+}
+
+
+@pytest.mark.parametrize("flags, config", STATS_DIGESTS)
+def test_stats_writes_the_pinned_bytes(tmp_path, flags, config):
+    argv = ["stats", *flags, "--out", tmp_path / "out"]
+    if config is not None:
+        (tmp_path / "config.json").write_text(config)
+        argv += ["--config", tmp_path / "config.json"]
+    assert run_cli(argv) == EXIT_OK
+    names = ("stats_aspect.csv", "stats_angle.csv", "stats.json")
+    digests = tuple(hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest() for name in names)
+    assert digests == STATS_DIGESTS[flags, config]
+
+
+def reference_assignment_stats(cfg, strategy, base_seed):
+    """`run_assignment_stats` as it stood with one `_assign` call per scene."""
+    grid = assignment.generate_anchors(cfg.scene.image_size, cfg.anchors.strides, cfg.anchors.scale_multiplier)
+    config = cli._strategy_config(strategy, cfg)
+    aspects, angles, positives = [], [], []
+    for index in range(cfg.stats.scenes):
+        scene = generate_scene(replace(cfg.scene, seed=base_seed + index))
+        result = assignment._assign(grid, scene.gts, config)
+        for g, gt in enumerate(scene.gts):
+            aspects.append(gt.aspect)
+            angles.append(gt.angle)
+            positives.append(int(result.positive_counts[g]))
+    return (
+        cli._bin_stats(aspects, positives, *cfg.scene.aspect_range, cfg.scene.aspect_bins),
+        cli._bin_stats(angles, positives, *cfg.scene.angle_range, cfg.scene.angle_bins),
+        positives,
+    )
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize(
+    "slots, gts, stacks",
+    [
+        (None, None, [6, 6, 1]),  # the default bounds
+        (3 * 21824, 10**9, [3, 3, 3, 3, 1]),
+        (10**9, 50, [2] * 6 + [1]),
+        (1, 10**9, [1] * 13),  # every scene over the slot bound
+        (10**9, 10, [1] * 13),  # every scene over the gt bound
+    ],
+)
+def test_stacks_of_scenes_give_the_stats_of_one_call_per_scene(monkeypatch, strategy, slots, gts, stacks):
+    # 13 default scenes of 20 gts on the default 21,824-anchor grid
+    cfg = replace(load_run_config(None), stats=cli.StatsConfig(13))
+    if slots is not None:
+        monkeypatch.setattr(cli, "_STACK_SLOTS", slots)
+        monkeypatch.setattr(cli, "_STACK_GTS", gts)
+    seen = []
+    assign_all = cli._assign_all
+    monkeypatch.setattr(cli, "_assign_all", lambda grid, scenes, cfgs: seen.append(len(scenes)) or assign_all(grid, scenes, cfgs))
+    aspect_stats, angle_stats, totals = cli.run_assignment_stats(cfg, strategy, 11)
+    assert seen == stacks
+    want_aspect, want_angle, positives = reference_assignment_stats(cfg, strategy, 11)
+    for got, want in ((aspect_stats, want_aspect), (angle_stats, want_angle)):
+        for name in ("edges", "gt_count", "mean_positives", "zero_positive_gts"):
+            assert np.array_equal(getattr(got, name).view(np.int64), getattr(want, name).view(np.int64)), name
+    assert totals == {
+        "gt_count": len(positives),
+        "positives_total": sum(positives),
+        "zero_positive_gts": positives.count(0),
+    }
+
+
+def test_stats_memory_does_not_grow_with_the_scene_count():
+    # one stack holds at most six default scenes, so 8 scenes reach the peak
+    # of a full stack; over 200 scenes only the three numbers kept per gt
+    # (about 0.3 MB) and the spread of the scenes' table sizes add to it
+    base = load_run_config(None)
+    peaks = {}
+    for scenes in (8, 200):
+        tracemalloc.start()
+        try:
+            cli.run_assignment_stats(replace(base, stats=cli.StatsConfig(scenes)), "maxiou", 0)
+            peaks[scenes] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[200] < 1.5 * peaks[8]  # 1.25 measured; 1.77 with twice the stack, 25 with one stack

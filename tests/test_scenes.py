@@ -392,3 +392,96 @@ def test_batched_ingestion_matches_the_per_record_reference(records, include_dif
             continue
         assert np.array_equal(box_bits([GroundTruth(quad_to_obb(ConvexQuad.from_points(record.quad)))]),
                               box_bits([GroundTruth(want_box)]))
+
+
+# Scene generation as it stood with one rng.uniform call per value, so that
+# the property below runs none of the code it checks.
+def reference_sample_center(rng, spec, w, h, theta):
+    width, height = spec.image_size
+    ex = 0.5 * (w * abs(math.cos(theta)) + h * abs(math.sin(theta)))
+    ey = 0.5 * (w * abs(math.sin(theta)) + h * abs(math.cos(theta)))
+    if 2.0 * ex > width or 2.0 * ey > height:
+        raise SceneGenerationError(
+            f"object of size {w:.1f}x{h:.1f} at angle {theta:.3f} does not fit "
+            f"inside {width}x{height}"
+        )
+    return rng.uniform(ex, width - ex), rng.uniform(ey, height - ey)
+
+
+def reference_bin_centers(lo, hi, bins):
+    edges = np.linspace(lo, hi, bins + 1)
+    return 0.5 * edges[:-1] + 0.5 * edges[1:]
+
+
+def reference_generate_scene(spec):
+    rng = np.random.default_rng(spec.seed)
+    gts = []
+    if spec.placement == "uniform":
+        log_lo, log_hi = math.log(spec.aspect_range[0]), math.log(spec.aspect_range[1])
+        for _ in range(spec.object_count):
+            aspect = math.exp(rng.uniform(log_lo, log_hi))
+            theta = float(rng.uniform(*spec.angle_range))
+            long_edge = float(rng.uniform(*spec.scale_range))
+            cx, cy = reference_sample_center(rng, spec, long_edge, long_edge / aspect, theta)
+            gts.append(GroundTruth(normalize_obb(cx, cy, long_edge, long_edge / aspect, theta)))
+    else:
+        for aspect in reference_bin_centers(*spec.aspect_range, spec.aspect_bins):
+            for theta in reference_bin_centers(*spec.angle_range, spec.angle_bins):
+                long_edge = float(rng.uniform(*spec.scale_range))
+                cx, cy = reference_sample_center(rng, spec, long_edge, long_edge / aspect, float(theta))
+                gts.append(
+                    GroundTruth(normalize_obb(cx, cy, long_edge, long_edge / aspect, float(theta)))
+                )
+    return gts
+
+
+def ranges(low, high, ends=()):
+    """Ordered (lo, hi) pairs of floats in [low, high], or of ``ends``."""
+    value = st.one_of(st.sampled_from(ends), st.floats(low, high)) if ends else st.floats(low, high)
+    return st.tuples(value, value).map(sorted).map(tuple)
+
+
+@st.composite
+def scene_specs(draw):
+    """Specs of either placement, with images from 1 px to 10^6 px, aspects
+    up to the float maximum (whose exp can overflow; uniform placement, as
+    the bin edges of a grid sweep overflow there), angle ranges up to
+    +-2**508 and the empty range (0.0, -0.0), whose span is -0.0, scales up
+    to inf, and scales too large for the image."""
+    placement = draw(st.sampled_from(["uniform", "grid-sweep"]))
+    huge = (1.7976931348623157e308, math.inf) if placement == "uniform" else ()
+    return SceneSpec(
+        image_size=draw(st.tuples(st.integers(1, 10**6), st.integers(1, 10**6))),
+        object_count=draw(st.integers(0, 30)),
+        aspect_range=draw(ranges(1.0, 1e6, (1.0, 12.0, *huge))),
+        angle_range=draw(st.one_of(st.just((0.0, -0.0)), ranges(-MAX_EXTENT, MAX_EXTENT, (-QP, 3 * QP, 0.0)))),
+        scale_range=draw(ranges(1e-3, 1e4, (24.0, 96.0, 1e300, math.inf))),
+        seed=draw(st.integers(0, 2**32 - 1)),
+        placement=placement,
+        aspect_bins=draw(st.integers(1, 6)),
+        angle_bins=draw(st.integers(1, 6)),
+    )
+
+
+@given(spec=scene_specs())
+@example(spec=SceneSpec(seed=501))
+@example(spec=SceneSpec(seed=501, placement="grid-sweep"))
+@example(spec=SceneSpec(scale_range=(24.0, math.inf)))
+@example(spec=SceneSpec(scale_range=(24.0, math.inf), object_count=0))
+@example(spec=SceneSpec(angle_range=(0.0, -0.0)))
+@example(spec=SceneSpec(angle_range=(0.0, -0.0), placement="grid-sweep"))
+@example(spec=SceneSpec(aspect_range=(1.0, math.inf)))
+@example(spec=SceneSpec(image_size=(64, 64), scale_range=(24.0, 200.0), placement="grid-sweep"))
+@settings(max_examples=300, deadline=None)
+def test_one_draw_per_scene_equals_one_uniform_call_per_value(spec):
+    def run(generate):
+        try:
+            return box_bits(generate(spec))
+        except (ValueError, OverflowError) as exc:
+            return type(exc), str(exc)
+
+    got, want = run(lambda s: generate_scene(s).gts), run(reference_generate_scene)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert isinstance(got, np.ndarray) and np.array_equal(got, want)
