@@ -37,8 +37,6 @@ from .assignment import (
     _assign_all,
 )
 from .geometry import (
-    _STACK_GTS,
-    _STACK_SLOTS,
     HALF_PI,
     MAX_EXTENT,
     QUARTER_PI,
@@ -72,6 +70,7 @@ from .scenes import (
     generate_scene,
     parse_dota_file,
     records_to_gts,
+    _bins,
 )
 
 SCHEMA_VERSION = "1"
@@ -99,6 +98,16 @@ MAX_OBJECTS = 100_000  # per scene: scene.object_count, or aspect_bins x angle_b
 MAX_SURFACE_CELLS = 1_000_000  # thresholds.aspect_count x angle_count
 MAX_CHECK_POINTS = 1_000_000  # each of loss_check.points and loss_check.iterations
 MAX_ORACLE_SAMPLES = 1_000_000_000  # iou --oracle; costs only time, about 40 s on a 2-core VM
+
+# Bounds of a stack of scenes that `stats` labels in one pass: anchor slots
+# (one per anchor of each scene) and gts. A scene over either bound is a
+# stack of its own, so the pipeline's memory does not grow with the scene
+# count. On the default grid (21,824 anchors), both bounds admit six 20-gt
+# scenes. Measured on a 2-core VM, per-scene cost falls by 30-40% from one
+# such scene to six and by 2-4% more at twelve, which doubles the memory,
+# and stacks of 100-gt scenes gain nothing.
+_STACK_SLOTS = 2**17
+_STACK_GTS = 128
 
 # The smallest loss_check.beta. The smooth-L1 check squares draws of size
 # beta, and from this bound up the squares stay in the normal float range.
@@ -231,18 +240,18 @@ class BinnedStats:
     """Per-bin assignment statistics along one sweep axis."""
 
     edges: np.ndarray
+    centers: np.ndarray
     gt_count: np.ndarray
     mean_positives: np.ndarray
     zero_positive_gts: np.ndarray
 
     def columns(self) -> list:
         """The columns of ``_STATS_HEADER``."""
-        lo, hi = self.edges[:-1], self.edges[1:]
         return [
             range(len(self.gt_count)),
-            lo,
-            hi,
-            0.5 * lo + 0.5 * hi,  # exact halves; lo + hi may overflow
+            self.edges[:-1],
+            self.edges[1:],
+            self.centers,
             self.gt_count,
             self.mean_positives,
             self.zero_positive_gts,
@@ -367,14 +376,14 @@ def _strategy_config(strategy: str, cfg: RunConfig) -> MasConfig | MaxIouConfig:
 
 
 def _bin_stats(values, positives, lo, hi, bins) -> BinnedStats:
-    edges = np.linspace(lo, hi, bins + 1)
+    edges, centers = _bins(lo, hi, bins)
     idx = np.clip(np.searchsorted(edges, values, side="right") - 1, 0, bins - 1)
     gt_count = np.bincount(idx, minlength=bins)
     totals = np.bincount(idx, weights=positives, minlength=bins)
     zeros = np.bincount(idx[np.asarray(positives) == 0], minlength=bins)
     with np.errstate(invalid="ignore"):
         means = np.where(gt_count > 0, totals / np.maximum(gt_count, 1), np.nan)
-    return BinnedStats(edges=edges, gt_count=gt_count, mean_positives=means, zero_positive_gts=zeros)
+    return BinnedStats(edges=edges, centers=centers, gt_count=gt_count, mean_positives=means, zero_positive_gts=zeros)
 
 
 def _scene_stacks(cfg: RunConfig, base_seed: int, num_anchors: int):

@@ -48,23 +48,14 @@ _ORACLE_BLOCK = 8192
 # benchmark's scenes make clips fewer rows, in one pass.
 _CLIP_BLOCK_ROWS = 65536
 
-# Bounds of a stack of scenes that `stats` labels in one pass: anchor slots
-# (one per anchor of each scene) and gts. A scene over either bound is a
-# stack of its own, so the pipeline's memory does not grow with the scene
-# count. On the default grid (21,824 anchors), both bounds admit six 20-gt
-# scenes. Measured on a 2-core VM, per-scene cost falls by 30-40% from one
-# such scene to six and by 2-4% more at twelve, which doubles the memory,
-# and stacks of 100-gt scenes gain nothing.
-_STACK_SLOTS = 2**17
-_STACK_GTS = 128
-
-
 class DegenerateQuadError(ValueError):
     """Raised for quads with (near-)zero area or non-convex vertex sets."""
 
 
 def normalize_angle(theta: float, period: float = math.pi) -> float:
-    """Map an angle into [-pi/4, -pi/4 + period)."""
+    """Map a finite angle into [-pi/4, -pi/4 + period)."""
+    if not math.isfinite(theta):
+        raise ValueError(f"angle must be finite, got {theta}")
     angle = (theta + QUARTER_PI) % period - QUARTER_PI
     # An angle just below -pi/4 can round onto the excluded upper bound.
     return angle if angle < period - QUARTER_PI else -QUARTER_PI
@@ -129,35 +120,18 @@ class ConvexQuad:
 
     @classmethod
     def from_points(cls, points) -> "ConvexQuad":
-        """Build a quad from 4 points in any order or winding.
-
-        Clockwise input is reversed; if the given order is not convex the
-        points are re-sorted by angle around their centroid (the canonical
-        order for points in convex position). Raises
-        :class:`DegenerateQuadError` for collinear or non-convex sets.
+        """Build a quad from 4 points in any order or winding: the one-quad
+        case of :func:`_quads_in_order`. Raises :class:`DegenerateQuadError`
+        for non-finite, collinear or non-convex sets.
         """
         pts = np.asarray(points, dtype=float).reshape(4, 2)
         if not np.all(np.isfinite(pts)):
             raise DegenerateQuadError("non-finite vertex")
-        ordered = cls._orient(pts)
-        if ordered is None:
-            center = pts.mean(axis=0)
-            angles = np.arctan2(pts[:, 1] - center[1], pts[:, 0] - center[0])
-            ordered = cls._orient(pts[np.argsort(angles, kind="stable")])
-        if ordered is None:
+        (ordered,) = _quads_in_order(pts[None])
+        if not ordered.any():
             raise DegenerateQuadError("vertices are not in convex position")
-        ordered = ordered.copy()
         ordered.flags.writeable = False
         return cls(ordered)
-
-    @staticmethod
-    def _orient(pts: np.ndarray) -> np.ndarray | None:
-        cross = _turns(pts)
-        if np.all(cross > 0.0):
-            return pts
-        if np.all(cross < 0.0):
-            return pts[::-1]
-        return None
 
     @property
     def area(self) -> float:
@@ -166,32 +140,40 @@ class ConvexQuad:
         return signed_area((self.vertices - self.vertices[0]).tolist())
 
 
-def _turns(pts: np.ndarray) -> np.ndarray:
-    """The turn (cross product of the edges in and out) at each vertex of
-    quads given as (..., 4, 2) arrays, in the given vertex order.
+def _winding(pts: np.ndarray) -> np.ndarray:
+    """Per quad of the (quads, 4, 2) array ``pts``, in the given vertex
+    order: the number of vertices where it turns left less the number where
+    it turns right, a turn being the cross product of the edges in and out.
 
-    Strictly convex CCW quads turn left at every vertex, CW quads right
-    (reversing the order negates each turn exactly). The turns use vertex
+    Strictly convex CCW quads turn left at every vertex (4), CW quads right
+    (-4; reversing the order negates each turn exactly). The turns use vertex
     differences, so tiny quads far from the origin still orient."""
     nxt, prv = pts[..., [1, 2, 3, 0], :], pts[..., [3, 0, 1, 2], :]
     x, y = pts[..., 0], pts[..., 1]
-    return (nxt[..., 0] - x) * (prv[..., 1] - y) - (nxt[..., 1] - y) * (prv[..., 0] - x)
+    turns = (nxt[..., 0] - x) * (prv[..., 1] - y) - (nxt[..., 1] - y) * (prv[..., 0] - x)
+    return (turns > 0.0).sum(axis=1) - (turns < 0.0).sum(axis=1)
 
 
 def _quads_in_order(pts: np.ndarray) -> np.ndarray:
-    """The (quads, 4, 2) corners ``pts`` as :meth:`ConvexQuad.from_points`
-    orders them, from one orientation test for all quads; only a quad that
-    is not convex in the given order goes through ``from_points`` itself. A
-    quad it rejects becomes all zeros, which has no enclosing rectangle."""
-    finite = np.isfinite(pts).all(axis=(1, 2))
-    turns = _turns(np.where(finite[:, None, None], pts, 0.0))
-    left, right = (turns > 0.0).all(axis=1) & finite, (turns < 0.0).all(axis=1) & finite
-    ordered = np.where(right[:, None, None], pts[:, ::-1], pts)
-    for i in np.flatnonzero(~(left | right)).tolist():
-        try:
-            ordered[i] = ConvexQuad.from_points(pts[i]).vertices
-        except DegenerateQuadError:
-            ordered[i] = 0.0
+    """The (quads, 4, 2) corners ``pts``, each quad counter-clockwise.
+
+    A quad that turns the same way at every vertex is convex and keeps its
+    order, reversed if it turns right. Any other is re-sorted by the angle of
+    each vertex about its centroid (the canonical order for points in convex
+    position) and tested again, all of them in one array pass. A quad that
+    is not finite, or not convex in either order, becomes all zeros, which
+    has no enclosing rectangle."""
+    pts = np.where(np.isfinite(pts).all(axis=(1, 2))[:, None, None], pts, 0.0)  # a copy, re-sorted in place
+    winding = _winding(pts)
+    resort = abs(winding) < 4
+    quads = pts[resort]
+    center = quads.mean(axis=1, keepdims=True)
+    angles = np.arctan2(quads[..., 1] - center[..., 1], quads[..., 0] - center[..., 0])
+    order = np.argsort(angles, axis=1, kind="stable")
+    pts[resort] = quads = np.take_along_axis(quads, order[..., None], axis=1)
+    winding[resort] = _winding(quads)
+    ordered = np.where((winding == -4)[:, None, None], pts[:, ::-1], pts)
+    ordered[abs(winding) < 4] = 0.0
     return ordered
 
 

@@ -143,7 +143,7 @@ def decode_box_deltas(anchor: OrientedBox, delta: BoxDelta) -> OrientedBox:
 def smooth_l1(x, beta: float):
     """Quadratic below the knee, linear above: 0.5 x^2 / beta for |x| < beta
     else |x| - 0.5 beta. Even, convex, continuously differentiable."""
-    if beta <= 0.0:
+    if not beta > 0.0:
         raise ValueError("beta must be positive")
     ax = np.abs(np.asarray(x, dtype=float))
     out = np.where(ax < beta, 0.5 * ax * ax / beta, ax - 0.5 * beta)
@@ -153,7 +153,7 @@ def smooth_l1(x, beta: float):
 def smooth_l1_grad(x, beta: float):
     """Derivative of :func:`smooth_l1`: x / beta inside the knee, sign(x)
     outside (saturated)."""
-    if beta <= 0.0:
+    if not beta > 0.0:
         raise ValueError("beta must be positive")
     arr = np.asarray(x, dtype=float)
     out = np.where(np.abs(arr) < beta, arr / beta, np.sign(arr))

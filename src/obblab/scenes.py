@@ -125,9 +125,12 @@ def _sample_center(spec: SceneSpec, w: float, h: float, theta: float, u_x: float
     return _uniform(ex, width - ex, u_x), _uniform(ey, height - ey, u_y)
 
 
-def _bin_centers(lo: float, hi: float, bins: int) -> np.ndarray:
-    edges = np.linspace(lo, hi, bins + 1)
-    return 0.5 * edges[:-1] + 0.5 * edges[1:]  # exact halves; the sum may overflow
+def _bins(lo: float, hi: float, bins: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``bins + 1`` edges of ``bins`` equal bins over [lo, hi], and the
+    bins' centres."""
+    with np.errstate(over="ignore"):  # the last edge may overflow before it is set to hi
+        edges = np.linspace(lo, hi, bins + 1)
+    return edges, 0.5 * edges[:-1] + 0.5 * edges[1:]  # exact halves; the sum may overflow
 
 
 def generate_scene(spec: SceneSpec) -> Scene:
@@ -146,8 +149,8 @@ def generate_scene(spec: SceneSpec) -> Scene:
             for u0, u1, u2, u3, u4 in map(np.ndarray.tolist, rng.random((spec.object_count, 5)))
         )
     else:
-        aspects = _bin_centers(*spec.aspect_range, spec.aspect_bins).tolist()
-        thetas = _bin_centers(*spec.angle_range, spec.angle_bins).tolist()
+        aspects = _bins(*spec.aspect_range, spec.aspect_bins)[1].tolist()
+        thetas = _bins(*spec.angle_range, spec.angle_bins)[1].tolist()
         draws = iter(rng.random(3 * len(aspects) * len(thetas)).tolist())
         shapes = ((aspect, theta, u) for aspect in aspects for theta, *u in zip(thetas, draws, draws, draws))
     gts = []

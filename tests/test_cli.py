@@ -988,6 +988,43 @@ def test_assign_file_shares_one_candidate_table_between_atss_and_mas(tmp_path, m
     assert digest == SEPARATE_TABLE_REPORTS[strategy, atss_k]
 
 
+# Counter-clockwise, clockwise, shuffled (two), difficult, collinear,
+# repeated-point and concave quads
+MIXED_QUADS = (
+    "100 100 200 100 200 150 100 150 plane 0\n"
+    "300 360 420 360 420 300 300 300 ship 0\n"
+    "500 500 580 540 580 500 500 540 small-vehicle 0\n"
+    "700 650 640 700 760 700 700 750 large-vehicle 1\n"
+    "10 10 20 20 30 30 40 40 harbor 0\n"
+    "50 50 90 50 90 50 50 80 ship 0\n"
+    "0 0 100 0 30 30 0 100 plane 0\n"
+    "800 800 900.5 800.25 900 860 800 860.75 storage-tank 0\n"
+)
+
+# sha256 of assign_report.json for MIXED_QUADS, as written when quads that
+# needed the re-sort went through ConvexQuad.from_points one at a time (the
+# clean fixture's reports are pinned in SEPARATE_TABLE_REPORTS)
+ASSIGN_FILE_REPORTS = {
+    (): "2283f7bad6d34c0e8069d9d419d2318454e1118d6096337eeaef40a00ec41649",
+    ("--include-difficult", "--strategy", "atss"): "2fc35eab3b5d7319cd91f530016734d8ad5a88cb3504f72446fdd0160c69a8b5",
+}
+
+
+@pytest.mark.parametrize("flags", ASSIGN_FILE_REPORTS)
+def test_assign_file_writes_the_pinned_bytes(tmp_path, monkeypatch, capsys, flags):
+    (tmp_path / "quads.txt").write_text(MIXED_QUADS)
+    (tmp_path / "non-finite.txt").write_text(MIXED_QUADS + "0 0 4 0 nan 2 0 2 plane 0\n1 1 inf 1 2 2 1 2 ship 0\n")
+    monkeypatch.chdir(tmp_path)  # the report names the annotation path
+    assert run_cli(["assign-file", "quads.txt", *flags, "--out", "out"]) == EXIT_OK
+    assert hashlib.sha256((tmp_path / "out" / "assign_report.json").read_bytes()).hexdigest() == ASSIGN_FILE_REPORTS[flags]
+    # non-finite quads never reach records_to_gts: the parser rejects them
+    assert run_cli(["assign-file", "non-finite.txt", *flags, "--out", "rejected"]) == EXIT_DATA
+    assert capsys.readouterr().err == (
+        "non-finite.txt: line 9: coordinate not finite or above 2**508 in magnitude\n"
+        "non-finite.txt: line 10: coordinate not finite or above 2**508 in magnitude\n"
+    )
+
+
 class TestCfsDemoCommand:
     @pytest.fixture
     def feature_file(self, tmp_path):
@@ -1479,6 +1516,12 @@ STATS_DIGESTS = {
         "836db766bf5bebe2f6981451a8b0934c8a81c8ef9c5aee50f7b765def0deb758",
         "c184d4bd376193a062c71dfc20c18c417b1777df0e7d578cb15782b8a58ee729",
         "bc3a7c6b081a89504c50f234f4b82d685d126379ac652e6798bf1f6f04bfca36",
+    ),
+    # linspace's last edge overflowed (a RuntimeWarning) before it was set to the maximum
+    (("--strategy", "mas", "--seed", "5", "--scenes", "1"), '{"scene": {"placement": "grid-sweep", "aspect_range": [1.0, 1.7976931348623157e308], "aspect_bins": 3}}'): (
+        "855d80141a7ae69c444ed98d9dfad02cb5b86017d05799a3846a631b7eb8b4f7",
+        "cf92b6e0323ef1cb7294c34f23c25a51290bd41669729f43b4a713f00cc3b492",
+        "70535fabcdcb3c59e6936061859afeb1affcd95a7d5178a3fd15a570a3a58ea5",
     ),
     (("--strategy", "mas", "--seed", "9", "--raw-lambda", "--gamma", "2"), None): (
         "6f30a288b5c46dd62e1baba96a71904da514ecc431c2b3e780afe4f9a46232e5",

@@ -447,6 +447,11 @@ class TestSmallOps:
         out = normalize_angle(theta)
         assert -QP <= out < 3 * QP
 
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf, np.float64(math.nan)])
+    def test_normalize_angle_rejects_non_finite(self, theta):
+        with pytest.raises(ValueError, match="angle must be finite"):
+            normalize_angle(theta)
+
 
 def as_bits(values) -> np.ndarray:
     """Float bits, so that equality also compares the sign of zero."""

@@ -131,6 +131,11 @@ class TestSmoothL1:
         with pytest.raises(ValueError):
             smooth_l1_grad(1.0, -1.0)
 
+    @pytest.mark.parametrize("function", [smooth_l1, smooth_l1_grad])
+    def test_rejects_nan_beta(self, function):
+        with pytest.raises(ValueError, match="beta must be positive"):
+            function(1.0, math.nan)
+
 
 class TestFocalLoss:
     def test_reference_value(self):

@@ -13,6 +13,7 @@ from obblab.geometry import (
     ConvexQuad,
     DegenerateQuadError,
     _MIN_EDGE,
+    _quads_in_order,
     normalize_obb,
     obb_to_polygon,
     quad_to_obb,
@@ -356,12 +357,23 @@ def box_bits(gts):
     return np.array([(g.box.cx, g.box.cy, g.box.w, g.box.h, g.box.theta) for g in gts]).view(np.int64)
 
 
+MIXED_RECORDS = [
+    AnnotationRecord(quad=(0, 0, 4, 0, 4, 2, 0, 2), category="plane"),
+    AnnotationRecord(quad=(0, 0, 4, 2, 4, 0, 0, 2), category="ship"),  # needs the re-sort
+    AnnotationRecord(quad=(0, 0, 1, 1, 2, 2, 3, 3), category="plane"),  # collinear
+    AnnotationRecord(quad=(3, 6, 7, 6, 7, 4, 3, 4), category="ship"),  # clockwise
+    AnnotationRecord(quad=(0, 0, 4, 0, math.nan, 2, 0, 2), category="plane"),
+    AnnotationRecord(quad=(0, 0, 4, 0, 1, 1, 0, 4), category="ship"),  # not convex in any order
+]
+
+
 @given(
     records=st.lists(annotation_records(), max_size=12),
     include_difficult=st.booleans(),
     unknown=st.sampled_from(["error", "extend"]),
 )
 @example(records=[], include_difficult=False, unknown="error")
+@example(records=MIXED_RECORDS, include_difficult=False, unknown="error")
 @settings(max_examples=300, deadline=None)
 def test_batched_ingestion_matches_the_per_record_reference(records, include_difficult, unknown):
     def run(convert):
@@ -378,20 +390,35 @@ def test_batched_ingestion_matches_the_per_record_reference(records, include_dif
     assert skipped == want_skipped
     assert [g.class_id for g in gts] == [g.class_id for g in want_gts]
     assert np.array_equal(box_bits(gts), box_bits(want_gts))
-    # quad_to_obb is the one-quad case of the same pass
+    # from_points and quad_to_obb are the one-quad case of the same pass
     for record in records:
         try:
             ordered = reference_from_points(record.quad)
-        except DegenerateQuadError:
+        except DegenerateQuadError as exc:
+            with pytest.raises(DegenerateQuadError) as raised:
+                ConvexQuad.from_points(record.quad)
+            assert (type(raised.value), str(raised.value)) == (type(exc), str(exc))
             continue
+        quad = ConvexQuad.from_points(record.quad)
+        assert np.array_equal(quad.vertices.view(np.int64), ordered.view(np.int64))
+        assert not quad.vertices.flags.writeable
         try:
             want_box = reference_quad_to_obb(ordered)
         except DegenerateQuadError:
             with pytest.raises(DegenerateQuadError):
-                quad_to_obb(ConvexQuad.from_points(record.quad))
+                quad_to_obb(quad)
             continue
-        assert np.array_equal(box_bits([GroundTruth(quad_to_obb(ConvexQuad.from_points(record.quad)))]),
-                              box_bits([GroundTruth(want_box)]))
+        assert np.array_equal(box_bits([GroundTruth(quad_to_obb(quad))]), box_bits([GroundTruth(want_box)]))
+    # each quad keeps its row when in-order and re-sorted quads are mixed:
+    # every quad is followed by a copy with its middle vertices swapped
+    quads = [q for r in records for q in (r.quad, (*r.quad[:2], *r.quad[4:6], *r.quad[2:4], *r.quad[6:]))]
+    rows = _quads_in_order(np.array(quads, dtype=float).reshape(-1, 4, 2))
+    for quad, row in zip(quads, rows):
+        try:
+            want_row = reference_from_points(quad)
+        except DegenerateQuadError:
+            want_row = np.zeros((4, 2))
+        assert np.array_equal(row.view(np.int64), want_row.view(np.int64))
 
 
 # Scene generation as it stood with one rng.uniform call per value, so that
